@@ -53,8 +53,10 @@ def infer_data_type(value: str) -> DataType:
 
     Memoized with a bounded LRU cache: the regex cascade runs once per
     distinct value, so callers outside the columnar
-    :class:`~repro.core.profile.TableProfile` (dialect detection,
-    baselines) also stop re-classifying repeated values.
+    :class:`~repro.core.profile.TableProfile` (the baselines) also stop
+    re-classifying repeated values.  Dialect detection never calls it:
+    its type score has its own patterns
+    (:mod:`repro.dialect.type_score`).
     """
     stripped = value.strip()
     if not stripped:

@@ -10,6 +10,12 @@ as in van den Burg et al.  The highest-scoring dialect is returned;
 ties break deterministically in favour of more conventional dialects
 (comma before semicolon before tab, quoting before no quoting) so that
 detection is stable across runs.
+
+The type score T is a fraction of cells, so Q <= P.  ``detect`` uses
+that bound: it scores candidates in preference order and skips the
+type score of any candidate whose pattern score cannot beat the best Q
+so far, which returns the same winner for a fraction of the regex
+work.  ``rank`` is the full ranking, every candidate scored.
 """
 
 from __future__ import annotations
@@ -140,7 +146,7 @@ class DialectDetector:
         cached = _memo_get(key)
         if cached is not None:
             return cached
-        dialect = self._rank_sample(sample)[0].dialect
+        dialect = self._best(sample)
         _memo_put(key, dialect)
         return dialect
 
@@ -150,6 +156,28 @@ class DialectDetector:
         if not sample.strip():
             return []
         return self._rank_sample(sample)
+
+    def _best(self, sample: str) -> Dialect:
+        """The winner of :meth:`rank`, skipping the type score of every
+        candidate that cannot win.
+
+        Q = P * T with T <= 1, so a candidate whose pattern score P is
+        no higher than the best Q so far cannot beat it.  Only a
+        strictly higher Q takes the lead, so ties go to the earliest
+        candidate, as in the stable sort of :meth:`_rank_sample`.
+        Every Q is positive, so the first candidate always scores.
+        """
+        candidates = self._candidates(sample)
+        best, best_score = candidates[0], 0.0
+        for dialect in candidates:
+            rows = parse_csv_text(sample, dialect)
+            p = pattern_score(rows)
+            if p <= best_score:
+                continue
+            score = p * type_score(rows)
+            if score > best_score:
+                best, best_score = dialect, score
+        return best
 
     def _rank_sample(self, sample: str) -> list[ScoredDialect]:
         scored: list[ScoredDialect] = []

@@ -10,6 +10,7 @@ fragments that match nothing.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 # Ordered list of (name, pattern) pairs; a cell is "known" if any matches.
 _KNOWN_TYPE_PATTERNS: list[tuple[str, re.Pattern[str]]] = [
@@ -36,8 +37,13 @@ _KNOWN_TYPE_PATTERNS: list[tuple[str, re.Pattern[str]]] = [
     ("word", re.compile(r"^[A-Za-z][A-Za-z0-9_' .\-]{0,30}$")),
     ("email", re.compile(r"^[\w.+-]+@[\w-]+\.[\w.]+$")),
     ("url", re.compile(r"^https?://\S+$")),
-    ("missing", re.compile(r"^(n/?a|nan|null|none|-+|\?)$", re.IGNORECASE)),
+    ("missing", re.compile(r"(?i:^(n/?a|nan|null|none|-+|\?)$)")),
 ]
+
+#: All known types as one alternation, for the yes/no question.
+_KNOWN_TYPE = re.compile(
+    "|".join(f"(?:{pattern.pattern})" for _, pattern in _KNOWN_TYPE_PATTERNS)
+)
 
 
 def cell_type_name(value: str) -> str | None:
@@ -51,7 +57,7 @@ def cell_type_name(value: str) -> str | None:
 
 def is_known_type(value: str) -> bool:
     """Whether ``value`` matches any known data type."""
-    return cell_type_name(value) is not None
+    return _KNOWN_TYPE.match(value.strip()) is not None
 
 
 def type_score(rows: list[list[str]], eps: float = 1e-10) -> float:
@@ -61,8 +67,8 @@ def type_score(rows: list[list[str]], eps: float = 1e-10) -> float:
     collapsing to zero for dialects that still produce a highly regular
     pattern, mirroring the published formulation.
     """
-    total = sum(len(r) for r in rows)
+    total = sum(map(len, rows))
     if total == 0:
         return eps
-    known = sum(1 for row in rows for value in row if is_known_type(value))
+    known = sum(map(is_known_type, chain.from_iterable(rows)))
     return max(known / total, eps)

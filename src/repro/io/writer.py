@@ -13,6 +13,9 @@ def _needs_quoting(value: str, dialect: Dialect) -> bool:
     specials = {dialect.delimiter, "\n", "\r"}
     if dialect.quotechar:
         specials.add(dialect.quotechar)
+    if dialect.escapechar:
+        # Written raw, the parser would read it as an escape.
+        specials.add(dialect.escapechar)
     return any(ch in value for ch in specials)
 
 

@@ -21,13 +21,23 @@ Malformed input (e.g. an unterminated quote) is handled leniently —
 the remainder of the text becomes part of the current field — because
 dialect detection must be able to score *wrong* dialects without
 raising.
+
+The tokenizer never walks the text one character at a time.  A line
+holding neither the quote nor the escape character is split on the
+delimiter with ``str.split``, a run of such lines at once.  Any other
+record is scanned by regex jumps to the next character that can end
+the current run (delimiter, escape or line break outside quotes; quote
+or escape inside), appending the slices in between whole.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.dialect.dialect import Dialect
+
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 @dataclass(frozen=True)
@@ -70,79 +80,123 @@ def parse_csv_text(text: str, dialect: Dialect) -> list[list[str]]:
 def parse_csv_outcome(text: str, dialect: Dialect) -> ParseOutcome:
     """Like :func:`parse_csv_text`, also reporting recovery facts."""
     delimiter = dialect.delimiter
-    quote = dialect.quotechar or ""
-    escape = dialect.escapechar or ""
+    quote = dialect.quotechar
+    escape = dialect.escapechar
+    # Outside quotes a field runs until a delimiter, an escape or a
+    # line break; inside quotes until a quote or an escape, which also
+    # mark the lines that cannot simply be split.  ``re`` keeps its own
+    # cache of compiled patterns, so repeat dialects compile nothing.
+    unquoted_stop = re.compile(f"[{re.escape(delimiter + escape)}\r\n]")
+    quote_or_escape = (
+        re.compile(f"[{re.escape(quote + escape)}]")
+        if quote or escape
+        else None
+    )
+    # Splitting plain lines assumes no special character is a line
+    # break.
+    plain_lines = not ({delimiter, quote, escape} & {"\r", "\n"})
 
     records: list[list[str]] = []
     fields: list[str] = []
     current: list[str] = []
+    field_start = True
     in_quotes = False
     dangling_escape = False
-    i = 0
+    pos = 0
     n = len(text)
 
-    def end_field() -> None:
-        fields.append("".join(current))
-        current.clear()
-
-    def end_record() -> None:
-        end_field()
-        records.append(list(fields))
-        fields.clear()
-
-    while i < n:
-        ch = text[i]
+    while pos < n:
         if in_quotes:
-            if escape and ch == escape and i + 1 < n:
-                current.append(text[i + 1])
-                i += 2
-                continue
-            if quote and ch == quote:
-                if i + 1 < n and text[i + 1] == quote:
+            match = quote_or_escape.search(text, pos)
+            if match is None:
+                current.append(text[pos:])
+                break
+            stop = match.start()
+            if stop > pos:
+                current.append(text[pos:stop])
+            if text[stop] == quote:
+                if text.startswith(quote, stop + 1):
                     # RFC 4180 doubled quote inside a quoted field.
                     current.append(quote)
-                    i += 2
-                    continue
-                in_quotes = False
-                i += 1
-                continue
-            current.append(ch)
-            i += 1
+                    pos = stop + 2
+                else:
+                    in_quotes = False
+                    pos = stop + 1
+            elif stop + 1 < n:
+                # An escape makes the next character literal.
+                current.append(text[stop + 1])
+                pos = stop + 2
+            else:
+                # A trailing escape inside an open quote stays literal.
+                current.append(escape)
+                break
             continue
 
-        if escape and ch == escape and i + 1 < n:
-            current.append(text[i + 1])
-            i += 2
-            continue
-        if quote and ch == quote and not current:
-            # A quote opens a quoted field only at field start.
-            in_quotes = True
-            i += 1
-            continue
-        if delimiter and ch == delimiter:
-            end_field()
-            i += 1
-            continue
-        if ch == "\r":
-            end_record()
-            if i + 1 < n and text[i + 1] == "\n":
-                i += 2
-            else:
-                i += 1
-            continue
-        if ch == "\n":
-            end_record()
-            i += 1
-            continue
-        if escape and ch == escape and i + 1 >= n:
+        if field_start:
+            if plain_lines and not fields:
+                # A record starts here: split the plain lines before
+                # the next quote or escape in one go.
+                stop = n
+                if quote_or_escape is not None:
+                    match = quote_or_escape.search(text, pos)
+                    if match is not None:
+                        stop = match.start()
+                end = max(text.rfind("\n", pos, stop), text.rfind("\r", pos, stop))
+                if end >= pos:
+                    # text[pos:end + 1] is whole lines, each ending in
+                    # a line break; end never splits a \r\n.
+                    block = text[pos:end + 1]
+                    lines = (
+                        _LINE_BREAK.split(block)
+                        if "\r" in block
+                        else block.split("\n")
+                    )
+                    lines.pop()
+                    records.extend([line.split(delimiter) for line in lines])
+                    pos = end + 1
+                    continue
+            if text[pos] == quote:
+                # A quote opens a quoted field only at field start.
+                in_quotes = True
+                field_start = False
+                pos += 1
+                continue
+
+        match = unquoted_stop.search(text, pos)
+        if match is None:
+            current.append(text[pos:])
+            break
+        stop = match.start()
+        if stop > pos:
+            current.append(text[pos:stop])
+            field_start = False
+        char = text[stop]
+        if char == escape and stop + 1 < n:
+            current.append(text[stop + 1])
+            field_start = False
+            pos = stop + 2
+        elif char == delimiter:
+            fields.append("".join(current))
+            current.clear()
+            field_start = True
+            pos = stop + 1
+        elif char == "\r" or char == "\n":
+            fields.append("".join(current))
+            current.clear()
+            records.append(fields)
+            fields = []
+            field_start = True
+            pos = stop + 2 if text.startswith("\r\n", stop) else stop + 1
+        else:
             # An escape character with nothing after it escapes
             # nothing; it stays literal, which the outcome records.
             dangling_escape = True
-        current.append(ch)
-        i += 1
+            current.append(char)
+            break
 
     if current or fields or (n > 0 and text[-1] not in "\r\n"):
-        end_record()
+        fields.append("".join(current))
+        records.append(fields)
     return ParseOutcome(
         records,
         unterminated_quote=in_quotes,

@@ -178,3 +178,27 @@ def test_round_trip_semicolon_dialect(rows):
     dialect = Dialect(delimiter=";", quotechar="'")
     text = write_csv_text(rows, dialect)
     assert parse_csv_text(text, dialect) == rows
+
+
+@given(rows=_ROWS)
+@settings(max_examples=100, deadline=None)
+def test_round_trip_quote_and_escape_dialect(rows):
+    """A field holding the escape char is quoted and escaped, so it
+    survives the round trip instead of escaping what follows it."""
+    dialect = Dialect(delimiter=",", quotechar='"', escapechar="\\")
+    text = write_csv_text(rows, dialect)
+    assert parse_csv_text(text, dialect) == rows
+
+
+@given(rows=_ROWS)
+@settings(max_examples=100, deadline=None)
+def test_round_trip_escape_only_dialect(rows):
+    dialect = Dialect(delimiter="\t", quotechar="", escapechar="\\")
+    text = write_csv_text(rows, dialect)
+    assert parse_csv_text(text, dialect) == rows
+
+
+def test_trailing_escape_char_does_not_merge_records():
+    dialect = Dialect(delimiter=",", quotechar='"', escapechar="\\")
+    rows = [["ab\\"], ["c"]]
+    assert parse_csv_text(write_csv_text(rows, dialect), dialect) == rows
