@@ -115,12 +115,13 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     ),
     # The persistent-worker corpus engine: pools and the sweep cache
     # from ``perf``, the pipeline from ``core``, ingestion policy from
-    # ``io``.  ``ml`` is *not* a dependency — the engine fingerprints
-    # models through the classifier protocol, never by importing the
-    # forest.
+    # ``io``, and ``io.adapters`` to enumerate swept paths (archives
+    # expand into members).  ``ml`` is *not* a dependency — the engine
+    # fingerprints models through the classifier protocol, never by
+    # importing the forest.
     "perf.engine": frozenset(
-        {"core", "dialect", "errors", "io", "obs", "perf", "types",
-         "util"}
+        {"core", "dialect", "errors", "io", "io.adapters", "obs",
+         "perf", "types", "util"}
     ),
     "ml": frozenset(
         {"core", "dialect", "errors", "io", "obs", "perf", "types",

@@ -54,7 +54,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
 import repro
 from repro.analysis import lint_paths, render_json, render_text
@@ -64,14 +63,13 @@ from repro.datagen.corpora import CORPUS_BUILDERS, make_corpus
 from repro.fuzz import FuzzConfig, format_fuzz_report, run_fuzz
 from repro.io.adapters import (
     SOURCE_SUFFIXES,
-    SourcePayload,
     adapter_for,
     is_container_name,
 )
 from repro.io.annotations import save_annotated_file
 from repro.io.ingest import IngestPolicy, IngestResult, ingest_path
 from repro.io.writer import write_csv_text
-from repro.perf.engine import CorpusEngine, FileResult, SweepReport
+from repro.perf.engine import CorpusEngine
 from repro.serve import (
     ClassificationService,
     DeadLetterQueue,
@@ -405,36 +403,16 @@ def _train_pipeline(args: argparse.Namespace, out) -> StrudelPipeline:
     return pipeline.fit(corpus.files)
 
 
-#: Payloads per ``process_payloads`` call in a lake sweep: enough to
-#: amortize worker dispatch, small enough to bound memory while an
-#: adapter streams archive members.
-_SWEEP_CHUNK_SOURCES = 64
-
-
-def _chunked(
-    payloads: "Iterator[SourcePayload]", size: int
-) -> "Iterator[list[SourcePayload]]":
-    chunk: list[SourcePayload] = []
-    for payload in payloads:
-        chunk.append(payload)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
-    """Lake mode of ``classify``: the source adapters enumerate every
+    """Lake mode of ``classify``: the source adapters list every
     ingestable source under the path — a recursive, case-insensitive
-    crawl that opens zip/tar archives, NDJSON logs and XML dumps —
-    and the persistent-worker corpus engine classifies the payloads.
+    crawl — and one engine sweep enumerates them, opening zip/tar
+    archives, NDJSON logs and XML dumps, and classifies the payloads.
     The summary reports enumerated vs classified, so nothing
     disappears silently."""
     try:
         policy = _build_policy(args)
-        adapter = adapter_for(args.file, policy)
-        candidates = adapter.candidates()
+        candidates = adapter_for(args.file, policy).candidates()
     except IngestError as error:
         print(f"repro: {args.file}: {error}", file=sys.stderr)
         return 2
@@ -447,57 +425,42 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
         return 2
     pipeline = _train_pipeline(args, out)
     prefix = f"{args.file}{os.sep}"
-    enumerated = 0
-    totals = SweepReport()
     with CorpusEngine(
         pipeline,
         n_jobs=args.jobs,
         policy=policy,
         cache_dir=args.sweep_cache,
     ) as engine:
-        for chunk in _chunked(adapter.iterate(), _SWEEP_CHUNK_SOURCES):
-            enumerated += len(chunk)
-            results, report = engine.process_payloads(
-                [(p.provenance, p.data) for p in chunk]
+        run = engine.sweep(candidates)
+        for _path, result in run:
+            counts: dict[str, int] = {}
+            for klass in result.line_classes():
+                counts[klass.value] = counts.get(klass.value, 0) + 1
+            summary = " ".join(
+                f"{name}={counts[name]}" for name in sorted(counts)
             )
-            totals.merge(report)
-            for payload, result in zip(chunk, results):
-                if not isinstance(result, FileResult):
-                    continue
-                counts: dict[str, int] = {}
-                for klass in result.line_classes():
-                    counts[klass.value] = counts.get(klass.value, 0) + 1
-                summary = " ".join(
-                    f"{name}={counts[name]}" for name in sorted(counts)
-                )
-                display = payload.provenance
-                if display.startswith(prefix):
-                    display = display[len(prefix):]
-                print(
-                    f"{display}: {result.n_rows}x{result.n_cols} "
-                    f"[{result.dialect.describe()}] {summary}",
-                    file=out,
-                )
-    adapter_skips = list(getattr(adapter, "skipped", ()))
-    skips = len(totals.skipped) + len(adapter_skips)
+            display = result.provenance
+            if display.startswith(prefix):
+                display = display[len(prefix):]
+            print(
+                f"{display}: {result.n_rows}x{result.n_cols} "
+                f"[{result.dialect.describe()}] {summary}",
+                file=out,
+            )
+    report = run.report
     print(
-        f"swept {totals.completed}/{enumerated} sources "
-        f"({totals.cache_hits} cached, {skips} skipped, "
-        f"{totals.batches} batches)",
+        f"swept {report.completed}/{report.files} sources "
+        f"({report.cache_hits} cached, {len(report.skipped)} skipped, "
+        f"{report.batches} batches)",
         file=out,
     )
-    for entry in totals.skipped:
+    for entry in report.skipped:
         print(
             f"repro: skipped {entry.path} [{entry.stage}]: "
             f"{entry.reason}",
             file=sys.stderr,
         )
-    for provenance, reason in adapter_skips:
-        print(
-            f"repro: skipped {provenance} [enumerate]: {reason}",
-            file=sys.stderr,
-        )
-    if args.fail_on_skip and skips:
+    if args.fail_on_skip and report.skipped:
         return 1
     return 0
 

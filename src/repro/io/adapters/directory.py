@@ -82,21 +82,20 @@ class DirectoryAdapter:
             raise AdapterError(
                 f"not a directory: {self.root}"
             )
-        if self.recursive:
-            walked = sorted(self.root.rglob("*"))
-        else:
-            walked = sorted(self.root.glob("*"))
-        return [
-            path for path in walked
-            if path.is_file()
-            and suffix_matches(path.name, self.suffixes)
-        ]
+        with get_tracer().span("adapter_enumerate"):
+            if self.recursive:
+                walked = sorted(self.root.rglob("*"))
+            else:
+                walked = sorted(self.root.glob("*"))
+            return [
+                path for path in walked
+                if path.is_file()
+                and suffix_matches(path.name, self.suffixes)
+            ]
 
     def iterate(self) -> Iterator[SourcePayload]:
         self.skipped = []
-        with get_tracer().span("adapter_enumerate"):
-            candidates = self.candidates()
-        for path in candidates:
+        for path in self.candidates():
             try:
                 data = path.read_bytes()
             except OSError as exc:

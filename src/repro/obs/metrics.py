@@ -36,7 +36,6 @@ METRIC_NAMES: tuple[str, ...] = (
     "feature_cache.hits",
     "feature_cache.misses",
     "feature_cache.evictions",
-    "feature_cache.disk_errors",
     "feature_cache.*",
     "parallel.pool_degraded",
     "worker_pool.spawns",

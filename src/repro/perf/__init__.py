@@ -5,7 +5,7 @@ changing any result:
 
 * :mod:`repro.perf.cache` — a corpus-level feature cache keyed by
   table content hash plus extractor configuration, with bounded LRU
-  memory and optional on-disk persistence;
+  memory;
 * :mod:`repro.perf.parallel` — ordered, deterministic fan-out helpers
   (``parallel_map``) used by the random forest and by per-file corpus
   feature extraction;

@@ -20,9 +20,9 @@ Keys are built from two parts:
 Values are tuples of numpy arrays (the protocol the Strudel
 classifiers use: ``(features,)`` for line matrices,
 ``(positions, features)`` for cell matrices).  Memory is bounded by
-an LRU policy; an optional directory adds on-disk persistence in
-``.npz`` format so a cache outlives the process (useful for repeated
-benchmark runs over a fixed corpus).
+an LRU policy.  The cache lives in memory only; persistent reuse
+across processes is the sweep cache's job
+(:class:`repro.perf.engine.SweepCache`).
 
 The cache is thread-safe: concurrent ``get_or_compute`` calls may
 race to compute the same entry, but both compute identical arrays
@@ -38,12 +38,8 @@ state mid-update.  Every event is mirrored into the process-local
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 import threading
-import zipfile
 from collections import OrderedDict
-from pathlib import Path
 
 import numpy as np
 
@@ -54,12 +50,6 @@ from repro.types import Table
 #: Byte separators that make the row/cell flattening injective.
 _CELL_SEP = b"\x1f"
 _ROW_SEP = b"\x1e"
-
-#: What a truncated, torn, or otherwise damaged ``.npz`` raises on
-#: load.  Treated as a miss, never an error: a cache file must not be
-#: able to poison the process that next reads it.
-_CORRUPT_NPZ_ERRORS = (OSError, ValueError, KeyError, EOFError,
-                       zipfile.BadZipFile)
 
 
 def table_content_hash(table: Table) -> str:
@@ -101,23 +91,12 @@ class FeatureCache:
     max_entries:
         Maximum number of in-memory entries; the least recently used
         entry is evicted first.  Must be positive.
-    directory:
-        Optional directory for on-disk persistence.  Entries evicted
-        from memory remain loadable from disk; a fresh cache pointed
-        at the same directory starts warm.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 256,
-        directory: str | Path | None = None,
-    ):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise InvalidParameterError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
         self._entries: OrderedDict[str, tuple[np.ndarray, ...]] = (
             OrderedDict()
         )
@@ -159,8 +138,7 @@ class FeatureCache:
     def get(self, key: str) -> tuple[np.ndarray, ...] | None:
         """The cached value for ``key``, or ``None``.
 
-        A memory hit refreshes the entry's LRU position; a disk hit
-        re-admits the entry into memory.
+        A hit refreshes the entry's LRU position.
         """
         with self._lock:
             value = self._entries.get(key)
@@ -168,13 +146,6 @@ class FeatureCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
         if value is not None:
-            self._metrics.increment("feature_cache.hits")
-            return value
-        value = self._load_from_disk(key)
-        if value is not None:
-            with self._lock:
-                self.hits += 1
-                self._admit(key, value)
             self._metrics.increment("feature_cache.hits")
             return value
         with self._lock:
@@ -186,7 +157,6 @@ class FeatureCache:
         """Store ``value`` under ``key``, evicting LRU entries if full."""
         with self._lock:
             self._admit(key, value)
-        self._save_to_disk(key, value)
 
     def get_or_compute(self, key, compute):
         """The cached value for ``key``, computing and storing on miss.
@@ -203,7 +173,7 @@ class FeatureCache:
         return value
 
     def clear(self) -> None:
-        """Drop all in-memory entries (disk files are kept)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
 
@@ -219,48 +189,3 @@ class FeatureCache:
         if evicted:
             self.evictions += evicted
             self._metrics.increment("feature_cache.evictions", evicted)
-
-    # ------------------------------------------------------------------
-    def _disk_path(self, key: str) -> Path | None:
-        if self.directory is None:
-            return None
-        name = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return self.directory / f"{name}.npz"
-
-    def _save_to_disk(self, key: str, value: tuple[np.ndarray, ...]) -> None:
-        """Persist atomically: write a temp file, then rename over.
-
-        Concurrent workers may race to persist the same entry; each
-        writes its own temp file and the ``os.replace`` is atomic, so
-        a reader never observes a half-written archive — a mid-write
-        crash leaves only an orphan ``.tmp``, never a corrupt entry.
-        """
-        path = self._disk_path(key)
-        if path is None or path.exists():
-            return
-        arrays = {f"arr_{i}": array for i, array in enumerate(value)}
-        handle = tempfile.NamedTemporaryFile(
-            dir=path.parent, prefix=path.stem, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                np.savez(handle, **arrays)
-            os.replace(handle.name, path)
-        except BaseException:
-            Path(handle.name).unlink(missing_ok=True)
-            raise
-
-    def _load_from_disk(self, key: str) -> tuple[np.ndarray, ...] | None:
-        path = self._disk_path(key)
-        if path is None or not path.exists():
-            return None
-        try:
-            with np.load(path) as archive:
-                return tuple(
-                    archive[f"arr_{i}"] for i in range(len(archive.files))
-                )
-        except _CORRUPT_NPZ_ERRORS:
-            # Quarantine by deletion: count it, forget it, recompute.
-            path.unlink(missing_ok=True)
-            self._metrics.increment("feature_cache.disk_errors")
-            return None

@@ -17,21 +17,25 @@ three amortization failures:
   by ``(file content hash, model fingerprint, ingest policy)``, so
   re-sweeping an unchanged corpus never reaches a worker at all.
 
-Determinism contract: ``sweep`` shards the file list into
-*contiguous, size-balanced* micro-batches and streams ``(path,
-result)`` pairs back in **input order** with a bounded in-flight
-window (backpressure: at most ``window`` batches of raw bytes exist at
-once).  Results are plain numpy arrays (class codes, cell positions),
-so parity across ``n_jobs``, cache hits and misses is checkable with
+One scheduler serves every entry point: :meth:`CorpusEngine.sweep`
+(paths, enumerated through :class:`~repro.io.adapters.FileAdapter` so
+archives expand into their members), :meth:`CorpusEngine.process_payloads`
+(in-memory payloads, the serve substrate) and, through ``sweep``, the
+CLI's lake mode.  It cuts the sources into *contiguous, size-balanced*
+micro-batches, keeps at most ``window`` of them in flight
+(backpressure: raw bytes exist for a bounded number of batches at
+once) and yields one outcome per source in **input order**.  Results
+are plain numpy arrays (class codes, cell positions), so parity
+across ``n_jobs``, cache hits and misses is checkable with
 ``.tobytes()`` equality — the pinned guarantee that parallelism may
 change *when* work happens, never *what* it computes.
 
-Failure routing: a file that cannot be read or classified becomes a
+Failure routing: a source that cannot be read or classified becomes a
 :class:`SkipEntry` in the run's :class:`SweepReport` instead of
-aborting the sweep; a worker killed mid-batch is recorded loudly
-(``sweep.worker_crashes`` metric + ``RuntimeWarning``), its batch's
-files join the skip report as casualties, and the pool respawns for
-the remaining files.
+aborting the sweep.  A worker killed mid-batch is recorded loudly,
+once per dead executor (``sweep.worker_crashes`` metric +
+``RuntimeWarning``); the batches in flight on that executor join the
+skip report as casualties, and later batches run on a respawned pool.
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import sys
 import tempfile
 import threading
 import warnings
 import zipfile
 from collections import deque
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +58,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.dialect.dialect import Dialect
-from repro.errors import InvalidParameterError, NotFittedError
+from repro.errors import AdapterError, InvalidParameterError, NotFittedError
+from repro.io.adapters import FileAdapter
 from repro.io.ingest import IngestPolicy
 from repro.obs import get_metrics, get_tracer
 from repro.perf.parallel import effective_jobs
@@ -164,9 +170,10 @@ class FileResult:
         """The source locator as the adapters produced it.
 
         For a loose file this is its path; for a container member it
-        is the full ``archive.zip!member.csv`` locator that rode
-        through ``process_payloads`` as the payload name (``path``
-        merely stores it as a :class:`~pathlib.Path`).
+        is the full ``archive.zip!member.csv`` locator a sweep
+        enumerated or a ``process_payloads`` caller passed as the
+        payload name (``path`` merely stores it as a
+        :class:`~pathlib.Path`).
         """
         return str(self.path)
 
@@ -188,9 +195,10 @@ class FileResult:
 class SkipEntry:
     """One file the sweep could not classify, and why.
 
-    ``stage`` is where it failed: ``"read"`` (the bytes never left the
-    parent), ``"classify"`` (the pipeline raised in a worker) or
-    ``"worker"`` (the worker process died mid-batch).
+    ``stage`` is where it failed: ``"read"`` (the source could not be
+    read or its container enumerated; the bytes never left the
+    parent), ``"classify"`` (the pipeline raised) or ``"worker"`` (the
+    worker process died mid-batch).
     """
 
     path: Path
@@ -208,16 +216,6 @@ class SweepReport:
     batches: int = 0
     worker_crashes: int = 0
     skipped: list[SkipEntry] = field(default_factory=list)
-
-    def merge(self, other: "SweepReport") -> None:
-        """Fold another report into this one — chunked lake sweeps
-        call ``process_payloads`` per chunk and aggregate here."""
-        self.files += other.files
-        self.completed += other.completed
-        self.cache_hits += other.cache_hits
-        self.batches += other.batches
-        self.worker_crashes += other.worker_crashes
-        self.skipped.extend(other.skipped)
 
     def as_dict(self) -> dict:
         """A JSON-ready summary (paths as strings)."""
@@ -473,6 +471,29 @@ class SweepCache:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
+@dataclass(eq=False)
+class _Batch:
+    """One micro-batch in the scheduler's queue.
+
+    ``members`` are the batch's entries in input order: the
+    ``(index, name, data)`` files to classify, and the outcomes (cache
+    hits, read skips) of entries that arrived between them, which ride
+    along so the batch emits everything in input order.  A batch
+    handed to the pool carries its ``future`` and the ``executor``
+    that took it; a batch without a future is computed inline when it
+    reaches the front of the queue.
+    """
+
+    members: list
+    executor: ProcessPoolExecutor | None = None
+    future: Future | None = None
+
+    @property
+    def files(self) -> list[tuple[int, str, bytes]]:
+        """The members to classify, as :func:`_run_batch` takes them."""
+        return [m for m in self.members if isinstance(m, tuple)]
+
+
 class SweepRun:
     """One in-progress sweep: iterate for results, read ``report``.
 
@@ -482,7 +503,7 @@ class SweepRun:
     """
 
     def __init__(self, engine: "CorpusEngine", paths: list[Path]):
-        self.report = SweepReport(files=len(paths))
+        self.report = SweepReport()
         self._engine = engine
         self._paths = paths
 
@@ -504,8 +525,9 @@ class CorpusEngine:
         fingerprinted at construction, broadcast to workers once.
     n_jobs:
         Worker processes (``parallel_map`` semantics: ``None``/``1``
-        sequential, ``<=0`` all cores).  The worker pool persists
-        across sweeps; results are byte-identical for any value.
+        sequential, ``<=0`` all cores).  The worker pool is sized from
+        it once and persists across sweeps; results are byte-identical
+        for any value.
     policy:
         Ingest policy applied to every file (part of the cache key).
     cache_dir:
@@ -531,8 +553,9 @@ class CorpusEngine:
             raise InvalidParameterError("window must be >= 1")
         self._pipeline = pipeline
         self._policy = policy or IngestPolicy()
-        self._n_jobs = n_jobs
-        self._window = window
+        # Sized once from ``n_jobs`` alone, never from a run's length.
+        self._workers = effective_jobs(n_jobs, sys.maxsize)
+        self._window = window or max(2 * self._workers, 2)
         self._fingerprint = model_fingerprint(pipeline)
         self._policy_key = policy_fingerprint(self._policy)
         self.cache = (
@@ -560,11 +583,17 @@ class CorpusEngine:
 
     # ------------------------------------------------------------------
     def sweep(self, paths: Iterable[str | Path]) -> SweepRun:
-        """Classify every file, streaming results in input order.
+        """Classify every source under ``paths``, streaming results in
+        input order.
 
+        Each path is enumerated through
+        :class:`~repro.io.adapters.FileAdapter`: a loose table is one
+        source, a container (zip/tar archive, NDJSON, XML) expands
+        into its members under ``archive.zip!member.csv`` locators.
         Returns a :class:`SweepRun`; iterate it for ``(path,
-        FileResult)`` pairs.  Unreadable or unclassifiable files are
-        skipped into ``run.report``, never raised.
+        FileResult)`` pairs.  Unreadable or damaged sources and
+        unclassifiable files are skipped into ``run.report``, never
+        raised.
         """
         return SweepRun(self, [Path(p) for p in paths])
 
@@ -580,321 +609,254 @@ class CorpusEngine:
     ) -> tuple[list["FileResult | SkipEntry"], SweepReport]:
         """Classify in-memory payloads through the warm pool.
 
-        The service front end's entry point: no filesystem access,
-        and the return value is a list **aligned with** ``items`` — a
-        :class:`FileResult` per success, a :class:`SkipEntry` per
-        failure (stage ``"classify"`` or ``"worker"``) — plus the
-        run's :class:`SweepReport`.  The sweep cache is consulted and
-        populated exactly as in :meth:`sweep`, so a served payload and
-        a swept file with the same bytes share one cache entry.
-
-        Unlike :meth:`sweep`, every micro-batch is submitted up front
-        (the caller — a bounded service queue — provides the
-        backpressure), so a worker crash fails the remaining batches
-        of *this call* loudly instead of resubmitting them; the
-        entries are replayable and the pool respawns for the next
-        call.
+        The service front end's entry point: no filesystem access, no
+        container expansion, and the return value is a list **aligned
+        with** ``items`` — a :class:`FileResult` per success, a
+        :class:`SkipEntry` per failure (stage ``"classify"`` or
+        ``"worker"``) — plus the run's :class:`SweepReport`.  The
+        payloads run through the same windowed scheduler as
+        :meth:`sweep`, and the sweep cache is consulted and populated
+        exactly as there, so a served payload and a swept file with
+        the same bytes share one cache entry.
         """
-        indexed = [
-            (i, str(name), bytes(data))
-            for i, (name, data) in enumerate(items)
-        ]
-        report = SweepReport(files=len(indexed))
-        out: list[FileResult | SkipEntry | None] = [None] * len(indexed)
-        tracer = get_tracer()
-        with tracer.span("sweep", n_files=len(indexed)):
-            pending: list[tuple[int, str, bytes]] = []
-            for i, name, data in indexed:
-                if self.cache is not None:
-                    cached = self.cache.load(
-                        self._cache_key(data), Path(name)
-                    )
-                    if cached is not None:
-                        report.cache_hits += 1
-                        report.completed += 1
-                        out[i] = cached
-                        continue
-                pending.append((i, name, data))
-            for batch, results in self._compute_batches(
-                pending, report, tracer
-            ):
-                if results is None:
-                    # Worker crash: _crashed_batch named the
-                    # casualties; align them with their slots.
-                    entries = report.skipped[-len(batch):]
-                    for (i, _name, _data), entry in zip(batch, entries):
-                        out[i] = entry
-                    continue
-                settled = self._settle_batch(
-                    batch, dict(results), report
-                )
-                for (i, _name, _data), (_path, payload) in zip(
-                    batch, settled
-                ):
-                    out[i] = payload
-        self._metrics.increment("sweep.files", len(indexed))
-        self._metrics.increment("sweep.skipped", len(report.skipped))
-        return list(out), report
+        entries = [(str(name), bytes(data)) for name, data in items]
+        report = SweepReport()
+        known_bytes = sum(len(data) for _name, data in entries)
+        outcomes = list(
+            self._schedule(entries, known_bytes, len(entries), report)
+        )
+        return outcomes, report
 
     # ------------------------------------------------------------------
+    def _run(
+        self, paths: list[Path], report: SweepReport
+    ) -> Iterator[tuple[Path, FileResult]]:
+        """The sweep generator behind :class:`SweepRun`: the batch
+        budget comes from stat sizes, never from reading a file."""
+        known_bytes = 0
+        for path in paths:
+            try:
+                known_bytes += path.stat().st_size
+            except OSError:
+                continue
+        outcomes = self._schedule(
+            self._enumerate(paths), known_bytes, len(paths), report
+        )
+        try:
+            for outcome in outcomes:
+                if isinstance(outcome, FileResult):
+                    yield outcome.path, outcome
+        finally:
+            # An abandoned sweep must abort the scheduler's window now,
+            # not whenever the collector gets to it.
+            outcomes.close()
+
+    def _enumerate(
+        self, paths: list[Path]
+    ) -> Iterator["tuple[str, bytes] | SkipEntry"]:
+        """Every source under ``paths`` as ``(provenance, bytes)``, in
+        order; a path that cannot be read, or a container that breaks
+        mid-enumeration, becomes a ``"read"`` :class:`SkipEntry` after
+        whatever members it already gave."""
+        for path in paths:
+            try:
+                for payload in FileAdapter(path, self._policy).iterate():
+                    yield payload.provenance, payload.data
+            except AdapterError as exc:
+                yield SkipEntry(path, "read", str(exc))
+
+    def _schedule(
+        self,
+        entries: Iterable["tuple[str, bytes] | SkipEntry"],
+        known_bytes: int,
+        n_inputs: int,
+        report: SweepReport,
+    ) -> Iterator["FileResult | SkipEntry"]:
+        """The engine's one scheduler.
+
+        Takes ``(name, bytes)`` entries (or a :class:`SkipEntry` for a
+        source that never produced bytes) in input order and yields
+        exactly one ``FileResult | SkipEntry`` per entry, in the same
+        order, tallying ``report`` as it goes.  Cache hits settle on
+        arrival.  Misses are cut into contiguous micro-batches of
+        about ``known_bytes / (4 * workers)`` bytes and at most
+        :data:`_MAX_BATCH_FILES` files, and at most ``window`` of them
+        are in flight on the pool.  An engine with one worker, or a
+        run that cuts only one batch, computes inline and never
+        touches the pool.
+
+        Anything that is not part of the sweep's own failure handling
+        — KeyboardInterrupt, an outer cancellation, the consumer
+        abandoning the generator (GeneratorExit) — cancels the
+        in-flight futures and drops the pool before re-raising, so the
+        next run on this engine starts clean.
+        """
+        tracer = get_tracer()
+        budget = max(1, known_bytes // (self._workers * _BATCHES_PER_WORKER))
+        inline = self._workers <= 1
+        queue: deque = deque()  # FileResult | SkipEntry | _Batch
+        waiting: deque[_Batch] = deque()  # cut, not yet on the pool
+        inflight = 0  # batches on the pool, not yet emitted
+        pooled = False
+        batch: list = []  # the open batch's members
+        batch_bytes = batch_files = 0
+
+        def close_batch() -> None:
+            nonlocal batch, batch_bytes, batch_files, pooled
+            item = _Batch(batch)
+            queue.append(item)
+            if not inline:
+                waiting.append(item)
+            batch, batch_bytes, batch_files = [], 0, 0
+            report.batches += 1
+            self._metrics.increment("sweep.batches")
+            # A second batch proves the run is bigger than one: from
+            # here on batches go to the pool, the held first one too.
+            pooled = pooled or (not inline and report.batches > 1)
+
+        def pump(final: bool) -> Iterator["FileResult | SkipEntry"]:
+            """Submit waiting batches as the window allows; emit the
+            front while it is settled, blocks a full window, is
+            computed inline, or the input has ended."""
+            nonlocal inflight
+            while queue:
+                if pooled and waiting and inflight < self._window:
+                    self._submit(waiting.popleft(), report)
+                    inflight += 1
+                    continue
+                front = queue[0]
+                if isinstance(front, _Batch):
+                    if front.future is not None:
+                        if inflight < self._window and not final:
+                            break
+                        inflight -= 1
+                    elif not (inline or final):
+                        break
+                yield from self._emit_front(queue, report, tracer)
+
+        with tracer.span("sweep", n_files=n_inputs):
+            try:
+                for index, entry in enumerate(entries):
+                    report.files += 1
+                    if isinstance(entry, SkipEntry):
+                        settled = entry
+                    elif (settled := self._cache_lookup(*entry)) is not None:
+                        report.cache_hits += 1
+                    if settled is None:
+                        batch.append((index, *entry))
+                        batch_bytes += len(entry[1])
+                        batch_files += 1
+                        if (
+                            batch_bytes >= budget
+                            or batch_files >= _MAX_BATCH_FILES
+                        ):
+                            close_batch()
+                    elif batch:
+                        batch.append(settled)  # keeps its place in line
+                    else:
+                        queue.append(settled)
+                    yield from pump(final=False)
+                if batch:
+                    close_batch()
+                yield from pump(final=True)
+            except BaseException:
+                self._abort(queue)
+                raise
+        self._metrics.increment("sweep.files", report.files)
+        self._metrics.increment("sweep.skipped", len(report.skipped))
+
+    def _cache_lookup(self, name: str, data: bytes) -> FileResult | None:
+        """The cached result for one payload, or ``None``."""
+        if self.cache is None:
+            return None
+        return self.cache.load(self._cache_key(data), Path(name))
+
     def _cache_key(self, data: bytes) -> str:
         """The sweep-cache address of one payload under this engine."""
         return SweepCache.entry_key(
             file_content_hash(data), self._fingerprint, self._policy_key
         )
 
-    @staticmethod
-    def _payload_batches(
-        pending: list[tuple[int, str, bytes]], workers: int
-    ) -> list[list[tuple[int, str, bytes]]]:
-        """Contiguous size-balanced micro-batches of raw payloads."""
-        if not pending:
-            return []
-        total = sum(len(data) for _i, _name, data in pending)
-        budget = max(1, total // max(1, workers * _BATCHES_PER_WORKER))
-        batches: list[list[tuple[int, str, bytes]]] = []
-        batch: list[tuple[int, str, bytes]] = []
-        batch_bytes = 0
-        for entry in pending:
-            batch.append(entry)
-            batch_bytes += len(entry[2])
-            if batch_bytes >= budget or len(batch) >= _MAX_BATCH_FILES:
-                batches.append(batch)
-                batch = []
-                batch_bytes = 0
-        if batch:
-            batches.append(batch)
-        return batches
+    def _submit(self, item: _Batch, report: SweepReport) -> None:
+        """Hand one batch to the pool — the engine's one submit site.
 
-    def _compute_batches(self, pending, report, tracer):
-        """Shard ``pending`` payloads and resolve every micro-batch.
-
-        Yields ``(batch, results)`` pairs; ``results`` is ``None`` for
-        a batch whose worker died (the casualties are already in the
-        report).  An interrupt mid-flight cancels the outstanding
-        futures and discards the pool before re-raising, so the next
-        call on this engine starts from a clean executor.
+        An executor that died before the batch reached it is retired
+        as a crash, and the never-run batch goes to its replacement.
         """
-        workers = effective_jobs(self._n_jobs, max(len(pending), 1))
-        batches = self._payload_batches(pending, workers)
-        if workers <= 1:
-            for batch in batches:
-                report.batches += 1
-                self._metrics.increment("sweep.batches")
-                with tracer.span("sweep_batch", n_files=len(batch)):
-                    yield batch, _run_batch(
-                        self._pipeline, self._policy, batch
-                    )
-            return
-        pool = self._ensure_pool(workers)
-        futures = [
-            (batch, pool.submit(_sweep_batch, list(batch)))
-            for batch in batches
-        ]
-        for batch, _future in futures:
-            report.batches += 1
-            self._metrics.increment("sweep.batches")
-        try:
-            for batch, future in futures:
-                try:
-                    with tracer.span("sweep_batch", n_files=len(batch)):
-                        results = future.result()
-                except (BrokenProcessPool, CancelledError) as exc:
-                    self._crashed_batch(batch, report, exc)
-                    yield batch, None
-                else:
-                    yield batch, results
-        except BaseException:
-            for _batch, future in futures:
-                future.cancel()
-            self._discard_pool()
-            raise
-
-    def _discard_pool(self) -> None:
-        """Drop the warm pool; the next use respawns + rebroadcasts."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self, workers: int) -> WorkerPool:
-        """The engine's private pool, broadcast included, grown to
-        ``workers``."""
-        pool = self._pool
-        if pool is None or pool.max_workers < workers:
-            if pool is not None:
-                pool.shutdown(wait=False)
+        if self._pool is None:
             payload = pickle.dumps((self._pipeline, self._policy))
-            pool = WorkerPool(
-                workers,
+            self._pool = WorkerPool(
+                self._workers,
                 initializer=_init_sweep_worker,
                 initargs=(payload,),
             )
-            self._pool = pool
-        return pool
-
-    def _plan_budget(self, paths: Sequence[Path], workers: int) -> int:
-        """Per-batch byte budget from stat sizes (never file reads)."""
-        total = 0
-        for path in paths:
+        for retry in (False, True):
+            item.executor = self._pool.executor()
             try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        batches = max(1, workers * _BATCHES_PER_WORKER)
-        return max(1, total // batches)
-
-    def _run(
-        self, paths: list[Path], report: SweepReport
-    ) -> Iterator[tuple[Path, FileResult]]:
-        """The sweep generator behind :class:`SweepRun`."""
-        tracer = get_tracer()
-        with tracer.span("sweep", n_files=len(paths)):
-            yield from self._run_spanned(paths, report, tracer)
-        self._metrics.increment("sweep.files", len(paths))
-        self._metrics.increment("sweep.skipped", len(report.skipped))
-
-    def _run_spanned(self, paths, report, tracer):
-        workers = effective_jobs(self._n_jobs, len(paths))
-        inline = workers <= 1
-        window = self._window or max(2 * workers, 2)
-        budget = self._plan_budget(paths, workers)
-        # Items awaiting emission, in input order: ("hit", path,
-        # result) or ("batch", token, files) where files is the
-        # submitted [(index, name, data), ...] and token resolves to
-        # the batch's results.  In-flight bytes are bounded by the
-        # window: hits carry no raw data, batches are capped.
-        queue: deque = deque()
-        inflight = 0
-        batch: list[tuple[int, str, bytes]] = []
-        batch_bytes = 0
-
-        def close_batch():
-            nonlocal batch, batch_bytes, inflight
-            if not batch:
+                item.future = item.executor.submit(_sweep_batch, item.files)
                 return
-            if inline:
-                token = list(batch)
+            except BrokenProcessPool as exc:
+                if retry:
+                    raise
+                self._worker_died(item.executor, exc, report)
+
+    def _emit_front(self, queue: deque, report: SweepReport, tracer):
+        """Settle the queue's front item, then pop it and yield its
+        outcomes, counting each into ``report``.  The item stays
+        queued while its batch resolves, so an interrupt there still
+        finds its future to cancel."""
+        item = queue[0]
+        if isinstance(item, _Batch):
+            outcomes = self._settle(item, report, tracer)
+        else:
+            outcomes = [item]
+        queue.popleft()
+        for outcome in outcomes:
+            if isinstance(outcome, SkipEntry):
+                report.skipped.append(outcome)
             else:
-                token = self._ensure_pool(workers).submit(
-                    _sweep_batch, list(batch)
-                )
-            queue.append(("batch", token, list(batch)))
-            report.batches += 1
-            self._metrics.increment("sweep.batches")
-            inflight += 1
-            batch = []
-            batch_bytes = 0
+                report.completed += 1
+            yield outcome
 
-        # Anything that is not part of the sweep's own failure
-        # handling — KeyboardInterrupt, an outer cancellation, the
-        # consumer abandoning this generator (GeneratorExit) — must
-        # not leave the engine with a half-drained window: cancel the
-        # outstanding futures, drop the pool, and re-raise, so the
-        # next sweep on this engine starts clean.
-        try:
-            for index, path in enumerate(paths):
-                try:
-                    data = path.read_bytes()
-                except OSError as exc:
-                    report.skipped.append(
-                        SkipEntry(
-                            path, "read", f"{type(exc).__name__}: {exc}"
-                        )
-                    )
-                    continue
-                if self.cache is not None:
-                    cached = self.cache.load(self._cache_key(data), path)
-                    if cached is not None:
-                        report.cache_hits += 1
-                        queue.append(("hit", path, cached))
-                        continue
-                batch.append((index, str(path), data))
-                batch_bytes += len(data)
-                if (
-                    batch_bytes >= budget
-                    or len(batch) >= _MAX_BATCH_FILES
-                ):
-                    close_batch()
-                    while inflight >= window or (inline and inflight):
-                        inflight -= self._emitted_batches(queue, report)
-                        yield from self._emit_front(queue, report, tracer)
-            close_batch()
-            while queue:
-                inflight -= self._emitted_batches(queue, report)
-                yield from self._emit_front(queue, report, tracer)
-        except BaseException:
-            self._abort_window(queue)
-            raise
-
-    def _abort_window(self, queue: deque) -> None:
-        """A sweep died mid-window: cancel the in-flight batch futures
-        and discard the pool (workers may hold half-submitted state),
-        so a later sweep respawns and rebroadcasts instead of
-        inheriting a wedged executor.  Inline sweeps have no futures
-        and keep nothing worth discarding."""
-        outstanding = 0
-        for kind, token, _files in queue:
-            if kind == "batch" and isinstance(token, Future):
-                token.cancel()
-                outstanding += 1
-        if outstanding:
-            self._discard_pool()
-
-    @staticmethod
-    def _emitted_batches(queue: deque, report) -> int:
-        """How many batches the next :meth:`_emit_front` resolves."""
-        return 1 if queue and queue[0][0] == "batch" else 0
-
-    def _emit_front(self, queue, report, tracer):
-        """Pop and yield the queue's front item (blocking on batches)."""
-        kind, token, extra = queue.popleft()
-        if kind == "hit":
-            report.completed += 1
-            yield token, extra
-            return
-        files = extra
+    def _settle(
+        self, item: _Batch, report: SweepReport, tracer
+    ) -> list["FileResult | SkipEntry"]:
+        """One batch's outcomes in input order: riding outcomes as they
+        are, successes decoded and cached, failures ``"classify"``
+        skips, and every file of a batch whose worker died a
+        ``"worker"`` casualty."""
+        files = item.files
+        token = files if item.future is None else item.future
+        crash = None
         try:
             with tracer.span("sweep_batch", n_files=len(files)):
-                results = self._resolve(token)
+                results = dict(self._resolve(token))
         except (BrokenProcessPool, CancelledError) as exc:
-            self._crashed_batch(files, report, exc)
-            return
-        for path, payload in self._settle_batch(
-            files, dict(results), report
-        ):
-            if isinstance(payload, FileResult):
-                yield path, payload
-
-    def _settle_batch(
-        self, files, outcomes: dict, report
-    ) -> list[tuple[Path, "FileResult | SkipEntry"]]:
-        """Resolve one computed batch against its submitted files.
-
-        Returns exactly one ``(path, FileResult | SkipEntry)`` pair
-        per file, in submission order; successes are decoded, cached,
-        and counted, failures are appended to ``report.skipped`` with
-        stage ``"classify"``.
-        """
-        settled: list[tuple[Path, FileResult | SkipEntry]] = []
-        for index, name, data in files:
-            path = Path(name)
-            outcome = outcomes.get(index)
-            if isinstance(outcome, dict):
-                result = _decode_arrays(path, outcome)
+            self._worker_died(item.executor, exc, report)
+            crash = (
+                f"worker crashed mid-batch ({type(exc).__name__}: {exc})"
+            )
+            results = {}
+        settled: list[FileResult | SkipEntry] = []
+        for member in item.members:
+            if not isinstance(member, tuple):
+                settled.append(member)  # a hit or skip riding along
+                continue
+            index, name, data = member
+            outcome = results.get(index)
+            if crash is not None:
+                settled.append(SkipEntry(Path(name), "worker", crash))
+            elif isinstance(outcome, dict):
                 if self.cache is not None:
                     self.cache.store(self._cache_key(data), outcome)
-                report.completed += 1
-                settled.append((path, result))
+                settled.append(_decode_arrays(Path(name), outcome))
             else:
                 reason = (
                     outcome[1]
                     if isinstance(outcome, tuple)
                     else "no result returned for file"
                 )
-                entry = SkipEntry(path, "classify", reason)
-                report.skipped.append(entry)
-                settled.append((path, entry))
+                settled.append(SkipEntry(Path(name), "classify", reason))
         return settled
 
     def _resolve(self, token):
@@ -903,25 +865,39 @@ class CorpusEngine:
             return token.result()
         return _run_batch(self._pipeline, self._policy, token)
 
-    def _crashed_batch(self, files, report, exc) -> None:
-        """A worker died mid-batch: loud metric + warning, casualties
-        named, pool discarded so the next batch respawns workers."""
-        if self._pool is not None:
-            self._pool.discard_broken()
+    def _worker_died(
+        self,
+        executor: ProcessPoolExecutor | None,
+        exc: BaseException,
+        report: SweepReport,
+    ) -> None:
+        """A worker died under ``executor``: retire that executor —
+        never its replacement — and, the first time only, count the
+        crash loudly (metric + warning).  Later batches that were in
+        flight on the same executor are casualties, not new crashes."""
+        if self._pool is None or not self._pool.discard(executor):
+            return
         report.worker_crashes += 1
         self._metrics.increment("sweep.worker_crashes")
-        for _index, name, _data in files:
-            report.skipped.append(
-                SkipEntry(
-                    Path(name),
-                    "worker",
-                    f"worker crashed mid-batch "
-                    f"({type(exc).__name__}: {exc})",
-                )
-            )
         warnings.warn(
-            f"sweep worker crashed; {len(files)} file(s) skipped and "
-            f"the pool was restarted: {type(exc).__name__}: {exc}",
+            f"sweep worker crashed; the batches in flight on it are "
+            f"skipped and the pool restarts: {type(exc).__name__}: {exc}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
+
+    def _abort(self, queue: deque) -> None:
+        """A run died mid-window: cancel the in-flight batch futures
+        and drop the pool (workers may hold half-submitted state), so
+        a later run respawns and rebroadcasts instead of inheriting a
+        wedged executor.  Inline runs have no futures and keep
+        nothing worth discarding."""
+        futures = [
+            item.future for item in queue
+            if isinstance(item, _Batch) and item.future is not None
+        ]
+        for future in futures:
+            future.cancel()
+        if futures and self._pool is not None:
+            self._pool.shutdown(wait=False)
+            self._pool = None

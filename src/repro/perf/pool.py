@@ -104,35 +104,56 @@ class WorkerPool:
         twice).  Pool-infrastructure failures also propagate, but a
         broken executor is discarded first so the next call recovers.
         """
-        executor = self._acquire()
+        executor = self.executor()
         try:
             return list(executor.map(fn, items))
         except BrokenProcessPool:
-            self._discard(executor)
+            self.discard(executor)
             raise
 
     def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
         """Submit one call; same recovery semantics as :meth:`map`."""
-        executor = self._acquire()
+        executor = self.executor()
         try:
             return executor.submit(fn, *args)
         except BrokenProcessPool:
-            self._discard(executor)
+            self.discard(executor)
             raise
 
-    def discard_broken(self) -> None:
-        """Drop the current executor after an out-of-band break.
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, spawning one if none is running.
 
-        For callers that consume :meth:`submit` futures directly and
-        see ``BrokenProcessPool`` on ``future.result()`` rather than
-        at submission time.
+        For callers that hold many futures at once: keep the executor
+        each future was submitted to, and after a
+        ``BrokenProcessPool`` retire exactly that one with
+        :meth:`discard` — never whichever executor is current by then.
         """
         with self._lock:
-            executor = self._executor
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.max_workers,
+                    initializer=self._initializer,
+                    initargs=self._initargs,
+                )
+                self._metrics.increment("worker_pool.spawns")
+            else:
+                self._metrics.increment("worker_pool.reuses")
+            return self._executor
+
+    def discard(self, executor: ProcessPoolExecutor) -> bool:
+        """Retire ``executor`` after a break; the next use respawns.
+
+        Idempotent per executor: only the first call for a given
+        executor shuts it down, counts ``worker_pool.broken`` and
+        returns ``True``.  A replacement spawned since is untouched.
+        """
+        with self._lock:
+            if self._executor is not executor:
+                return False
             self._executor = None
-        if executor is not None:
-            self._metrics.increment("worker_pool.broken")
-            executor.shutdown(wait=False, cancel_futures=True)
+        self._metrics.increment("worker_pool.broken")
+        executor.shutdown(wait=False, cancel_futures=True)
+        return True
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the workers; the next use spawns a fresh executor."""
@@ -147,30 +168,6 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    # ------------------------------------------------------------------
-    def _acquire(self) -> ProcessPoolExecutor:
-        """The live executor, spawning one if needed (lock held)."""
-        with self._lock:
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=self._initializer,
-                    initargs=self._initargs,
-                )
-                self._metrics.increment("worker_pool.spawns")
-            else:
-                self._metrics.increment("worker_pool.reuses")
-            return self._executor
-
-    def _discard(self, executor: ProcessPoolExecutor) -> None:
-        """Forget ``executor`` after a break (idempotent per executor)."""
-        with self._lock:
-            if self._executor is not executor:
-                return
-            self._executor = None
-        self._metrics.increment("worker_pool.broken")
-        executor.shutdown(wait=False, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import io
+import re
+import tarfile
+import zipfile
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import main
+from repro.core.strudel import StrudelPipeline
+from repro.io.adapters import DirectoryAdapter
 from repro.io.annotations import load_corpus
+from repro.obs import get_metrics
 
 
 @pytest.fixture
@@ -221,6 +228,105 @@ class TestClassify:
         text = out.getvalue()
         assert "swept 2/2 sources" in text
         assert "only.zip!one.csv" in text
+
+
+@pytest.fixture(scope="module")
+def fitted_pipeline(tiny_corpus) -> StrudelPipeline:
+    return StrudelPipeline(n_estimators=4, random_state=0).fit(
+        tiny_corpus.files
+    )
+
+
+class TestLakeSweep:
+    """``classify <lake|archive> --jobs 2``: one engine sweep over
+    every source, past the 64 files of a single micro-batch."""
+
+    @staticmethod
+    def _csv(i: int) -> str:
+        return (
+            f"Report {i}\nRegion,Q1,Q2\nNorth,{i},7\nSouth,6,{i + 2}\n"
+            f"Total,{i + 6},{i + 9}\n"
+        )
+
+    def _lake(self, tmp_path):
+        """70 loose CSVs with a zip, a tar and a damaged zip sorted in
+        between them."""
+        lake = tmp_path / "lake"
+        lake.mkdir()
+        for i in range(70):
+            (lake / f"{i:03d}.csv").write_text(self._csv(i), encoding="utf-8")
+        with zipfile.ZipFile(lake / "020a.zip", "w") as archive:
+            for i in range(3):
+                archive.writestr(f"z{i}.csv", self._csv(100 + i))
+        with tarfile.open(lake / "040a.tar", "w") as archive:
+            archive.add(lake / "001.csv", arcname="t0.csv")
+            archive.add(lake / "002.csv", arcname="t1.csv")
+        (lake / "060a.zip").write_bytes(b"PK\x03\x04 not really a zip")
+        return lake
+
+    def _sweep(self, monkeypatch, pipeline, target, *extra):
+        monkeypatch.setattr(cli, "_train_pipeline", lambda args, out: pipeline)
+        out = io.StringIO()
+        code = main(["classify", str(target), "--jobs", "2", *extra], out=out)
+        return code, out.getvalue().splitlines()
+
+    def test_lake_prints_every_source_once_in_order(
+        self, tmp_path, monkeypatch, capsys, fitted_pipeline
+    ):
+        lake = self._lake(tmp_path)
+        prefix = f"{lake}/"
+        expected = [
+            payload.provenance[len(prefix):]
+            for payload in DirectoryAdapter(lake).iterate()
+        ]
+        assert len(expected) == 75
+        code, lines = self._sweep(monkeypatch, fitted_pipeline, lake)
+        assert code == 0
+        *results, summary = lines
+        assert [line.split(": ", 1)[0] for line in results] == expected
+        match = re.fullmatch(
+            r"swept (\d+)/(\d+) sources \((\d+) cached, (\d+) skipped, "
+            r"(\d+) batches\)",
+            summary,
+        )
+        assert match, summary
+        completed, files, _cached, skipped, batches = map(
+            int, match.groups()
+        )
+        assert (completed, files, skipped) == (75, 76, 1)
+        assert completed + skipped == files
+        assert batches > 1
+        skip_lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("repro: skipped")
+        ]
+        assert len(skip_lines) == 1
+        assert skip_lines[0].startswith(f"repro: skipped {lake}/060a.zip [read]")
+
+    def test_lake_fail_on_skip_exits_one(
+        self, tmp_path, monkeypatch, fitted_pipeline
+    ):
+        lake = self._lake(tmp_path)
+        code, lines = self._sweep(
+            monkeypatch, fitted_pipeline, lake, "--fail-on-skip"
+        )
+        assert code == 1
+        assert lines[-1].startswith("swept 75/76 sources")
+
+    def test_single_archive_of_many_batches_spawns_the_pool(
+        self, tmp_path, monkeypatch, fitted_pipeline
+    ):
+        archive_path = tmp_path / "one.zip"
+        with zipfile.ZipFile(archive_path, "w") as archive:
+            for i in range(6):
+                archive.writestr(f"m{i}.csv", self._csv(i))
+        spawns = get_metrics().counter("worker_pool.spawns")
+        code, lines = self._sweep(monkeypatch, fitted_pipeline, archive_path)
+        assert code == 0
+        assert lines[-1].startswith("swept 6/6 sources")
+        batches = int(re.search(r"(\d+) batches", lines[-1]).group(1))
+        assert batches > 1
+        assert get_metrics().counter("worker_pool.spawns") == spawns + 1
 
 
 class TestLint:

@@ -16,6 +16,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.io.writer import write_csv_text
 from repro.obs import get_metrics
 from repro.perf.engine import (
     CorpusEngine,
+    FileResult,
     SweepCache,
     model_fingerprint,
     policy_fingerprint,
@@ -122,7 +124,9 @@ def test_worker_pool_discard_broken_respawns():
         assert pool.map(_double, [1]) == [2]
         broken = metrics.counter("worker_pool.broken")
         spawns = metrics.counter("worker_pool.spawns")
-        pool.discard_broken()
+        executor = pool.executor()
+        assert pool.discard(executor)
+        assert not pool.discard(executor)  # idempotent per executor
         assert metrics.counter("worker_pool.broken") == broken + 1
         # The next call transparently respawns the workers.
         assert pool.map(_double, [21]) == [42]
@@ -282,6 +286,33 @@ def test_sweep_streams_results_in_input_order(
     assert emitted == reversed_paths
 
 
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_partly_cached_runs_keep_input_order(
+    fitted_pipeline, corpus_dir, tmp_path, n_jobs
+):
+    """Cache hits interleaved with misses keep their place: a sweep
+    still streams in input order and payload outcomes stay aligned
+    with their items."""
+    items = [(str(path), path.read_bytes()) for path in corpus_dir]
+    with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
+        expected = _result_bytes(engine.sweep_paths(corpus_dir)[0])
+    with CorpusEngine(
+        fitted_pipeline, n_jobs=n_jobs, cache_dir=tmp_path / "swept"
+    ) as engine:
+        engine.sweep_paths(corpus_dir[1::2])  # warm every other file
+        swept, sweep_report = engine.sweep_paths(corpus_dir)
+    with CorpusEngine(
+        fitted_pipeline, n_jobs=n_jobs, cache_dir=tmp_path / "served"
+    ) as engine:
+        engine.process_payloads(items[1::2])
+        outcomes, payload_report = engine.process_payloads(items)
+    assert sweep_report.cache_hits == payload_report.cache_hits == 3
+    assert _result_bytes(swept) == expected
+    assert _result_bytes(
+        [(Path(name), o) for (name, _), o in zip(items, outcomes)]
+    ) == expected
+
+
 def test_sweep_results_decode_to_cell_classes(
     fitted_pipeline, corpus_dir
 ):
@@ -371,6 +402,32 @@ def test_sweep_worker_crash_is_loud_and_survivable(
     survivors = {path.name for path, _ in results}
     assert corpus_dir[1].name in survivors
     assert report.completed + len(report.skipped) == len(paths)
+
+
+def test_sweep_resubmits_what_a_dead_executor_never_ran(
+    fitted_pipeline, corpus_dir
+):
+    """Workers that die between sweeps leave a broken executor that
+    refuses the next submit: that is the executor's one crash, and
+    the refused batch runs on a fresh executor — no casualties."""
+    metrics = get_metrics()
+    with CorpusEngine(fitted_pipeline, n_jobs=2) as engine:
+        engine.sweep_paths(corpus_dir)  # spawn the pool
+        executor = engine._pool.executor()
+        for proc in list(executor._processes.values()):
+            proc.kill()
+            proc.join(timeout=30)
+        deadline = time.monotonic() + 30
+        while not executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert executor._broken
+        spawns = metrics.counter("worker_pool.spawns")
+        with pytest.warns(RuntimeWarning, match="worker crashed"):
+            results, report = engine.sweep_paths(corpus_dir)
+    assert report.worker_crashes == 1
+    assert report.skipped == []
+    assert [path for path, _ in results] == list(corpus_dir)
+    assert metrics.counter("worker_pool.spawns") == spawns + 1
 
 
 def test_sweep_report_as_dict_names_casualties(
@@ -531,9 +588,9 @@ def test_process_payloads_worker_crash_names_aligned_casualties(
 ):
     """A worker killed mid-call: every slot still settles (FileResult
     or SkipEntry), the marker file is named a worker-stage casualty,
-    and the engine's next call runs on a respawned pool.  All batches
-    were submitted up front, so sibling batches may die with the pool
-    — loudly, never silently."""
+    and the engine's next call runs on a respawned pool.  Sibling
+    batches in flight on the dead executor may die with it — loudly,
+    never silently."""
     monkeypatch.setattr(engine_mod, "_sweep_batch", _crash_on_marker)
     data = corpus_dir[0].read_bytes()
     items = [("crashme.csv", data)] + [
@@ -558,6 +615,60 @@ def test_process_payloads_worker_crash_names_aligned_casualties(
         retried, retry_report = engine.process_payloads(items[1:])
         assert retry_report.completed == len(items) - 1
         assert all(hasattr(o, "line_codes") for o in retried)
+
+
+@pytest.mark.parametrize("entry", ["sweep_paths", "process_payloads"])
+def test_one_worker_death_is_one_crash_and_spares_the_respawned_pool(
+    fitted_pipeline, corpus_dir, tmp_path, monkeypatch, entry
+):
+    """One worker death is one crash, one warning and one broken
+    executor, at the default window with more batches than the
+    window.  Eight same-size files cut into eight one-file batches
+    (the budget is a quarter of the bytes per worker); two workers
+    keep four in flight, so the dead executor can claim only those,
+    and every batch submitted to the respawned pool completes."""
+    data = corpus_dir[0].read_bytes()
+    paths = [tmp_path / "crashme.csv"] + [
+        tmp_path / f"copy{i}.csv" for i in range(1, 8)
+    ]
+    for path in paths:
+        path.write_bytes(data)
+    monkeypatch.setattr(engine_mod, "_sweep_batch", _crash_on_marker)
+    metrics = get_metrics()
+    names = ("sweep.worker_crashes", "worker_pool.broken",
+             "worker_pool.spawns")
+    before = {name: metrics.counter(name) for name in names}
+    with CorpusEngine(fitted_pipeline, n_jobs=2) as engine:
+        with pytest.warns(RuntimeWarning, match="worker crashed") as caught:
+            if entry == "sweep_paths":
+                results, report = engine.sweep_paths(paths)
+                completed = [path for path, _ in results]
+            else:
+                outcomes, report = engine.process_payloads(
+                    [(str(path), data) for path in paths]
+                )
+                completed = [
+                    o.path for o in outcomes if isinstance(o, FileResult)
+                ]
+    window = 4  # the default: 2 * workers
+    assert report.batches == len(paths) > window
+    assert report.worker_crashes == 1
+    crash_warnings = [
+        w for w in caught if "worker crashed" in str(w.message)
+    ]
+    assert len(crash_warnings) == 1
+    delta = {name: metrics.counter(name) - before[name] for name in names}
+    assert delta == {
+        "sweep.worker_crashes": 1,
+        "worker_pool.broken": 1,
+        "worker_pool.spawns": 2,
+    }
+    casualties = {skip.path for skip in report.skipped}
+    assert paths[0] in casualties
+    assert casualties <= set(paths[:window])
+    assert {skip.stage for skip in report.skipped} == {"worker"}
+    assert completed[-(len(paths) - window):] == paths[window:]
+    assert report.completed + len(report.skipped) == len(paths)
 
 
 def test_engine_rejects_nonpositive_window(fitted_pipeline):

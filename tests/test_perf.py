@@ -130,25 +130,11 @@ def test_cache_rejects_nonpositive_bound():
         FeatureCache(max_entries=0)
 
 
-def test_cache_disk_persistence_survives_new_instance(tmp_path):
-    value = (np.arange(6.0).reshape(2, 3), np.array([1, 2, 3]))
-    warm = FeatureCache(max_entries=4, directory=tmp_path)
-    warm.put("k", value)
-
-    fresh = FeatureCache(max_entries=4, directory=tmp_path)
-    got = fresh.get("k")
-    assert got is not None
-    for stored, original in zip(got, value):
-        np.testing.assert_array_equal(stored, original)
-    assert fresh.hits == 1
-
-
-def test_cache_clear_keeps_disk_entries(tmp_path):
-    cache = FeatureCache(max_entries=4, directory=tmp_path)
+def test_cache_clear_empties_memory():
+    cache = FeatureCache(max_entries=4)
     cache.put("k", (np.zeros(2),))
     cache.clear()
     assert len(cache) == 0
-    assert cache.get("k") is not None  # reloaded from disk
 
 
 def test_make_key_joins_parts():
