@@ -28,11 +28,11 @@ from repro.errors import ConfigurationError
 
 #: Longest-prefix map from module prefix to layering node.
 #:
-#: ``repro.perf`` is split in two: the cache and parallel helpers form
-#: the low-level ``perf`` node (below ``core``, so the classifiers can
-#: consume them), while ``repro.perf.bench`` — which drives the whole
-#: pipeline end to end — is its own top-level ``bench`` node.  The
-#: longest-prefix lookup makes the split exact.
+#: ``repro.perf`` is split in two: the cache, pool and parallel helpers
+#: form the low-level ``perf`` node (below ``core``, so the classifiers
+#: can consume them), while ``repro.perf.engine`` — which drives the
+#: whole pipeline — is its own ``perf.engine`` node above ``core``.
+#: The longest-prefix lookup makes the split exact.
 NODE_BY_PREFIX: dict[str, str] = {
     "repro.util": "util",
     "repro.errors": "errors",
@@ -50,15 +50,15 @@ NODE_BY_PREFIX: dict[str, str] = {
     # XML→tabular) sits *in front of* the ingest front door: adapters
     # enumerate containers into (bytes, provenance) payloads and every
     # payload still routes through ``io.ingest``.  It is its own node
-    # above ``io`` — the crawl/sweep surfaces (cli, serve, fuzz,
-    # bench) consume it, while nothing inside ``io`` may import it.
+    # above ``io`` — the crawl/sweep surfaces (cli, serve, fuzz, the
+    # corpus engine) consume it, while nothing inside ``io`` may
+    # import it.
     "repro.io.adapters": "io.adapters",
     "repro.io": "io",
-    "repro.perf.bench": "bench",
     # The corpus engine drives whole sweeps through the fitted
     # pipeline, so unlike the rest of ``repro.perf`` it must sit
     # *above* ``core`` and ``io`` — it is its own node, importable by
-    # eval/bench/app, while ``perf.pool``/``perf.parallel`` stay in
+    # eval/serve/app, while ``perf.pool``/``perf.parallel`` stay in
     # the low ``perf`` node below ``core``.
     "repro.perf.engine": "perf.engine",
     "repro.perf": "perf",
@@ -84,8 +84,7 @@ NODE_BY_PREFIX: dict[str, str] = {
     # The long-lived classification service: an asyncio front end and
     # a replayable dead-letter queue over a standing ``perf.engine``
     # corpus engine.  Above ``perf.engine`` (it owns one) and below
-    # ``bench``/``app`` (the roundtrip bench drives it, the CLI hosts
-    # it).
+    # ``app`` (the CLI hosts it).
     "repro.serve": "serve",
     "repro.cli": "app",
     "repro.__main__": "app",
@@ -147,17 +146,10 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
         {"core", "dialect", "errors", "io", "io.adapters", "obs",
          "perf", "perf.engine", "types", "util"}
     ),
-    "bench": frozenset(
-        {
-            "core", "datagen", "dialect", "errors", "eval", "io",
-            "io.adapters", "ml", "obs", "perf", "perf.engine",
-            "serve", "types", "util",
-        }
-    ),
     # The ingestion fuzz harness mutates datagen corpora at the byte
     # level and verifies strict/lenient feature parity through the
-    # core extractors, so it sits above both — like bench, it drives
-    # lower layers end to end without anything importing it but app.
+    # core extractors, so it sits above both — it drives lower layers
+    # end to end without anything importing it but app.
     "fuzz": frozenset(
         {"core", "datagen", "dialect", "errors", "io", "io.adapters",
          "obs", "perf", "types", "util"}
@@ -165,10 +157,9 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     "analysis": frozenset({"errors", "util"}),
     "app": frozenset(
         {
-            "analysis", "baselines", "bench", "core", "datagen",
-            "dialect", "errors", "eval", "fuzz", "io", "io.adapters",
-            "ml", "obs", "perf", "perf.engine", "serve", "types",
-            "util",
+            "analysis", "baselines", "core", "datagen", "dialect",
+            "errors", "eval", "fuzz", "io", "io.adapters", "ml", "obs",
+            "perf", "perf.engine", "serve", "types", "util",
         }
     ),
 }

@@ -1,11 +1,11 @@
 """R103 — tracer span names match the declared pipeline stages.
 
 ``PIPELINE_STAGES`` in :mod:`repro.obs.trace` is the single source of
-truth for stage names: the benchmark harness reads its stage table
-from spans carrying them and the docs promise the same spellings.  A
-typo'd ``tracer.span("line_featuers")`` silently produces a trace the
-bench report cannot see; a stage declared but never instrumented is a
-dashboard row that is forever empty.  Both halves are whole-program
+truth for stage names: trace readers look spans up by them and the
+docs promise the same spellings.  A typo'd
+``tracer.span("line_featuers")`` silently produces a span no reader
+looks for; a stage declared but never instrumented is a dashboard row
+that is forever empty.  Both halves are whole-program
 properties — span call sites are scattered over ``io``, ``core``,
 ``eval`` and ``perf`` — so the rule reads the declarations statically
 from the ASTs in scope (never importing ``repro.obs``, which would
@@ -67,8 +67,8 @@ class SpanCoverageRule(ProjectRule):
     rule_id = "R103"
     title = "span name not declared, or declared stage never spanned"
     rationale = (
-        "PIPELINE_STAGES is the contract between instrumentation, the "
-        "bench stage table and the docs; a misspelled span name or an "
+        "PIPELINE_STAGES is the contract between instrumentation, "
+        "trace readers and the docs; a misspelled span name or an "
         "uninstrumented stage silently breaks that contract and no "
         "behaviour test reads trace names."
     )

@@ -21,10 +21,6 @@ Three commands cover the zero-to-working workflow:
 ``lint``
     Run the repro static-analysis rules (R001–R006) over source
     trees; exits 1 when there are findings, for use as a CI gate.
-``bench``
-    Time the pipeline stages and analyze paths (legacy two-pass,
-    single-pass, cached) and write ``BENCH_pipeline.json``; see
-    ``docs/performance.md``.
 ``fuzz``
     Run the seeded byte-level ingestion fuzz harness and fail if any
     input escapes the ``Table``-or-``ReproError`` contract;
@@ -41,7 +37,7 @@ Three commands cover the zero-to-working workflow:
     them back through a fresh engine (recovered records are removed),
     or ``purge`` it.
 
-The ``detect``, ``classify`` and ``bench`` commands accept
+The ``detect``, ``classify``, ``serve`` and ``dlq`` commands accept
 ``--trace FILE`` (and ``--trace-format json|text``) to write a span
 trace plus a metrics snapshot of the run; the ``REPRO_TRACE`` /
 ``REPRO_TRACE_FORMAT`` environment variables do the same without
@@ -82,18 +78,6 @@ from repro.obs import (
     activate,
     get_metrics,
     write_trace,
-)
-from repro.perf.bench import (
-    DEFAULT_OUTPUT,
-    DEFAULT_TOLERANCE,
-    BenchConfig,
-    configs_comparable,
-    diff_reports,
-    format_diff,
-    format_summary,
-    load_report,
-    run_benchmark,
-    write_report,
 )
 
 
@@ -232,35 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the whole-program rules (R101-R105); per-module "
              "rules only",
     )
-
-    bench = commands.add_parser(
-        "bench", help="benchmark the pipeline and emit a JSON report"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized workload (small corpus, forest and file)",
-    )
-    bench.add_argument(
-        "--output", type=Path, default=Path(DEFAULT_OUTPUT),
-        help=f"report path (default: {DEFAULT_OUTPUT})",
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker count; never changes results (default: 1)",
-    )
-    bench.add_argument(
-        "--baseline", type=Path, default=None,
-        help="saved report to diff against; exits non-zero if any "
-        "timing regresses beyond the tolerance",
-    )
-    bench.add_argument(
-        "--baseline-tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="allowed slowdown ratio over the baseline before the "
-        f"diff fails (default: {DEFAULT_TOLERANCE:g} = "
-        f"{DEFAULT_TOLERANCE:.0%})",
-    )
-    _add_trace_flags(bench)
 
     fuzz = commands.add_parser(
         "fuzz",
@@ -617,49 +572,6 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
     return 1 if findings else 0
 
 
-def _cmd_bench(args: argparse.Namespace, out) -> int:
-    config = (
-        BenchConfig.quick_config(seed=args.seed, n_jobs=args.jobs)
-        if args.quick
-        else BenchConfig(seed=args.seed, n_jobs=args.jobs)
-    )
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_report(args.baseline)
-        # json.JSONDecodeError subclasses ValueError.
-        except (OSError, ValueError) as error:
-            print(f"cannot load baseline: {error}", file=out)
-            return 2
-    print(
-        f"benchmarking (quick={config.quick}, trees={config.trees}, "
-        f"rows={config.rows}, jobs={config.n_jobs}) ...",
-        file=out,
-    )
-    report = run_benchmark(config)
-    print(format_summary(report), file=out)
-    exit_code = 0 if report["cv"]["byte_identical"] else 1
-    if baseline is not None:
-        if not configs_comparable(report, baseline):
-            print(
-                f"baseline {args.baseline} ran a different workload "
-                "configuration; refusing to diff (rerun with matching "
-                "--quick/--seed flags)",
-                file=out,
-            )
-            return 2
-        diff = diff_reports(report, baseline, args.baseline_tolerance)
-        report["baseline_comparison"] = {
-            "baseline_path": str(args.baseline), **diff
-        }
-        print(format_diff(diff), file=out)
-        if diff["regressions"]:
-            exit_code = max(exit_code, 1)
-    path = write_report(report, args.output)
-    print(f"report written to {path}", file=out)
-    return exit_code
-
-
 def _cmd_fuzz(args: argparse.Namespace, out) -> int:
     config = FuzzConfig(
         seed=args.seed,
@@ -693,7 +605,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "classify": _cmd_classify,
         "generate": _cmd_generate,
         "lint": _cmd_lint,
-        "bench": _cmd_bench,
         "fuzz": _cmd_fuzz,
         "serve": _cmd_serve,
         "dlq": _cmd_dlq,

@@ -381,8 +381,9 @@ class TableProfile:
 
     # ------------------------------------------------------------------
     def materialize(self) -> "TableProfile":
-        """Force every columnar array (used by the benchmark's
-        ``profile`` stage so later stages measure pure consumption)."""
+        """Force every columnar array (``bench/layers.py`` times
+        ``core.profile.build`` with it, so later layers measure pure
+        consumption)."""
         _ = (
             self.dtype_grid, self.value_lengths, self.non_empty,
             self.numeric_grid, self.keyword_mask, self.word_counts,

@@ -465,8 +465,9 @@ class StrudelCellClassifier:
         full feature matrix for every non-empty cell.
 
         Callers that want to time or batch prediction separately from
-        extraction (the benchmark's throughput probes, the future
-        serving path) pair this with :meth:`predict_from_features`.
+        extraction (the benchmark's per-layer timings in
+        ``bench/layers.py``) pair this with
+        :meth:`predict_from_features`.
         """
         return self._extract_cells(table, probabilities)
 

@@ -1,11 +1,12 @@
 """Compiled forest inference — the whole forest as flat tensors.
 
-A fitted :class:`~repro.ml.forest.RandomForestClassifier` predicts by
-looping over its trees in Python: 40 trees means 40 separate batched
-traversals plus 40 column-alignment steps per call.  Each individual
-traversal is vectorized, but with ~6 levels per tree the loop still
-issues thousands of small numpy kernels per table — prediction became
-the pipeline hot path once feature extraction went columnar.
+Predicting by looping over the trees of a fitted
+:class:`~repro.ml.forest.RandomForestClassifier` in Python costs, for
+40 trees, 40 separate batched traversals plus 40 column-alignment
+steps per call.  Each individual traversal is vectorized, but with ~6
+levels per tree the loop still issues thousands of small numpy kernels
+per table — prediction became the pipeline hot path once feature
+extraction went columnar.
 
 :class:`CompiledForest` removes the loop.  At compile time every
 tree's flat node arrays are concatenated into single forest-wide
@@ -18,21 +19,21 @@ level-synchronous traversal over the full ``(samples x trees)``
 frontier: all sample/tree pairs descend together, and the loop count
 is the depth of the deepest tree, not ``n_trees x depth``.
 
-Byte-identity with the legacy path is a hard contract (the parity
-suite pins ``.tobytes()`` equality):
+Byte-identity with that per-tree loop is a hard contract:
+``tests/test_compiled_parity.py`` keeps the loop as its oracle,
+``per_tree_predict_proba``, and pins ``.tobytes()`` equality with it:
 
-* node descent evaluates exactly the legacy comparison
+* node descent evaluates exactly the oracle's comparison
   ``X[row, feature] <= threshold``, so every pair reaches the same
   leaf;
 * class alignment *places* each tree's probability rows into the
   global columns (classes absent from a bootstrap hold exact ``+0.0``,
   and adding ``+0.0`` to a non-negative float is bitwise inert), so an
-  aligned row-add equals the legacy ``total[:, columns] += proba``;
+  aligned row-add equals the oracle's ``total[:, columns] += proba``;
 * accumulation is an explicit Python loop over trees **in tree
   order** — float addition is not associative, and a pairwise
   ``np.sum`` over a tree axis would drift in the last ulp;
-* the final division by ``n_trees`` happens last, as in the legacy
-  path.
+* the final division by ``n_trees`` happens last, as in the oracle.
 
 The compiled tensors are also the persistence substrate: saving a
 forest stores them directly, and :meth:`CompiledForest.decompile`
@@ -261,8 +262,8 @@ class CompiledForest:
     _TAIL_SIZE = 1024
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Averaged class probabilities, byte-identical to the legacy
-        per-tree loop.
+        """Averaged class probabilities, byte-identical to the per-tree
+        loop.
 
         Every ``(sample, tree)`` pair starts at its tree's root and
         the whole frontier descends one level per iteration; pairs
@@ -280,7 +281,7 @@ class CompiledForest:
         proba = self._proba
         # Sequential tree-order accumulation: float addition is not
         # associative, and the contract is bitwise equality with the
-        # legacy one-tree-at-a-time loop.
+        # one-tree-at-a-time loop.
         for index in range(n_trees):
             total += proba.take(leaves[:, index], axis=0, mode="clip")
         total /= n_trees
@@ -292,7 +293,7 @@ class CompiledForest:
         Feature values are gathered through the raveled matrix
         (``row * n_features + feature``) — a flat ``take`` is much
         cheaper than two-dimensional fancy indexing at this call
-        rate — and the node comparisons are exactly the legacy
+        rate — and the node comparisons are exactly the per-tree
         ``X[row, feature] <= threshold``, so every pair lands on the
         same leaf bit for bit regardless of chunking or compaction.
         All ``take`` calls use ``mode='clip'``: bounds are guaranteed

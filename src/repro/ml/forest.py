@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.ml.base import check_fitted, check_X, check_X_y
+from repro.ml.base import check_fitted, check_X_y
 from repro.ml.compiled import CompiledForest
 from repro.ml.tree import DecisionTreeClassifier
 from repro.perf.parallel import effective_jobs, parallel_map
@@ -128,11 +128,8 @@ class RandomForestClassifier:
         self.estimators_: list[DecisionTreeClassifier] | None = None
         self.oob_score_: float | None = None
         self.oob_decision_function_: np.ndarray | None = None
-        # Derived, memoized per fit: the packed inference tensors and
-        # the per-tree global-class column arrays (alignment computed
-        # once instead of per predict_proba call).
+        # Derived, memoized per fit: the packed inference tensors.
         self._compiled: CompiledForest | None = None
-        self._tree_columns: list[np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def _fit_all_trees(
@@ -184,28 +181,21 @@ class RandomForestClassifier:
 
         n = X.shape[0]
         n_classes = len(self.classes_)
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        oob_votes = (
-            np.zeros((n, n_classes)) if self.oob_score else None
-        )
         fitted = self._fit_all_trees(X, y)
         self.estimators_ = [tree for _, tree, _ in fitted]
         self._compiled = None
-        self._tree_columns = [
-            np.array(
-                [class_index[c] for c in tree.classes_], dtype=np.intp
-            )
-            for tree in self.estimators_
-        ]
-        if oob_votes is not None:
-            for index, tree, weights in fitted:
+        if self.oob_score:
+            class_index = {c: i for i, c in enumerate(self.classes_)}
+            oob_votes = np.zeros((n, n_classes))
+            for _, tree, weights in fitted:
                 held_out = weights == 0
                 if held_out.any():
                     proba = tree.predict_proba(X[held_out])
-                    columns = self._tree_columns[index]
+                    columns = np.array(
+                        [class_index[c] for c in tree.classes_],
+                        dtype=np.intp,
+                    )
                     oob_votes[np.ix_(held_out, columns)] += proba
-
-        if oob_votes is not None:
             voted = oob_votes.sum(axis=1) > 0
             decision = np.full((n, n_classes), np.nan)
             decision[voted] = (
@@ -225,24 +215,6 @@ class RandomForestClassifier:
         return self
 
     # ------------------------------------------------------------------
-    def _aligned_columns(self) -> list[np.ndarray]:
-        """Per-tree global-class column arrays, computed once.
-
-        ``fit`` and the persistence loader populate these eagerly;
-        the lazy branch covers forests assembled by hand (tests,
-        decompiled bundles).
-        """
-        if self._tree_columns is None:
-            class_index = {c: i for i, c in enumerate(self.classes_)}
-            self._tree_columns = [
-                np.array(
-                    [class_index[c] for c in tree.classes_],
-                    dtype=np.intp,
-                )
-                for tree in self.estimators_
-            ]
-        return self._tree_columns
-
     def compile(self) -> CompiledForest:
         """The forest packed into flat inference tensors, memoized.
 
@@ -261,30 +233,11 @@ class RandomForestClassifier:
         even when an individual bootstrap missed a rare class.
         Delegates to the compiled tensors (one traversal over the
         whole ``samples x trees`` frontier); output is byte-identical
-        to :meth:`legacy_predict_proba`, which the parity suite pins.
+        to the per-tree loop that ``tests/test_compiled_parity.py``
+        keeps as its oracle.
         """
         check_fitted(self, "estimators_")
         return self.compile().predict_proba(X)
-
-    def legacy_predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """The per-tree Python-loop prediction path.
-
-        Kept as the parity reference for the compiled traversal: one
-        batched descent per tree, aligned onto the global class order
-        through the precomputed column arrays and accumulated in tree
-        order.
-        """
-        check_fitted(self, "estimators_")
-        X = check_X(X, self.n_features_)
-        total = np.zeros(
-            (X.shape[0], len(self.classes_)), dtype=np.float64
-        )
-        for tree, columns in zip(
-            self.estimators_, self._aligned_columns()
-        ):
-            total[:, columns] += tree.predict_proba(X)
-        total /= len(self.estimators_)
-        return total
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class per sample under the averaged vote."""

@@ -199,7 +199,6 @@ def load_forest(directory: str | Path) -> RandomForestClassifier:
             )
             for index in range(manifest["n_estimators"])
         ]
-    forest._aligned_columns()  # populate eagerly, as fit() does
     return forest
 
 

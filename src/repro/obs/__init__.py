@@ -7,8 +7,7 @@ into — it sits just above ``errors`` in the layer DAG so ``io``,
 * :mod:`repro.obs.trace` — a span-based :class:`Tracer` on monotonic
   clocks with a process-local activation point (:func:`get_tracer` /
   :func:`activate`) and a zero-cost :class:`NullTracer` default, plus
-  the canonical :data:`PIPELINE_STAGES` glossary shared with
-  ``repro bench``;
+  the canonical :data:`PIPELINE_STAGES` glossary;
 * :mod:`repro.obs.metrics` — a process-local :class:`Metrics`
   registry (counters / gauges / timers) absorbing feature-cache
   statistics, ingestion repair events, pool degradations and CV fold

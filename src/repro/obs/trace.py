@@ -15,16 +15,16 @@ tree for the same work (the ordering-determinism test pins this).
 Instrumented code never receives a tracer argument: it asks
 :func:`get_tracer` for the process-local active tracer, which is the
 zero-cost :class:`NullTracer` unless a caller activated a real one
-(``repro bench --trace``, the CLI ``--trace`` flag, or the
-``REPRO_TRACE`` environment variable).  The disabled path is one
+(the CLI ``--trace`` flag or the ``REPRO_TRACE`` environment
+variable).  The disabled path is one
 attribute lookup plus an empty context manager — nothing allocates,
 nothing reads a clock — so tracing-off output is byte-identical to an
 uninstrumented build.
 
 The stage names used across the pipeline are declared once here
-(:data:`PIPELINE_STAGES`) and shared by the instrumentation, the
-benchmark harness and the docs, so a span in a trace file always
-matches a row in the bench report.
+(:data:`PIPELINE_STAGES`) and shared by the instrumentation and the
+docs, so a span in a trace file always matches a row in the stage
+glossary of ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from typing import Iterator
 
 #: The canonical pipeline stage names, in execution order.  The
 #: instrumentation in ``repro.io.ingest`` and ``repro.core.strudel``
-#: emits exactly these names; ``repro.perf.bench`` reads its stage
-#: table from spans carrying them (one source of truth for timings).
+#: emits exactly these names, and lint rule R103 holds every one of
+#: them to at least one call site.
 PIPELINE_STAGES: tuple[str, ...] = (
     "ingest_decode",
     "dialect_detection",
     "parsing",
-    "profile",
     "line_features",
     "line_prediction",
     "cell_features",
@@ -149,8 +148,8 @@ class Tracer:
         """First-occurrence duration per span name, in ``names`` order.
 
         ``start_index`` restricts the scan to spans started at or
-        after that position — the benchmark harness uses it to read
-        only the spans of its own traced run.
+        after that position, so a caller can read only the spans of
+        its own run.
         """
         found: dict[str, float] = {}
         for record in self.spans[start_index:]:

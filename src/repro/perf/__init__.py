@@ -1,4 +1,4 @@
-"""Performance subsystem: caching, deterministic parallelism, benchmarks.
+"""Performance subsystem: caching, deterministic parallelism, corpus sweeps.
 
 ``repro.perf`` holds the pieces that make the hot paths fast without
 changing any result:
@@ -9,13 +9,13 @@ changing any result:
 * :mod:`repro.perf.parallel` — ordered, deterministic fan-out helpers
   (``parallel_map``) used by the random forest and by per-file corpus
   feature extraction;
-* :mod:`repro.perf.bench` — the ``repro bench`` harness that times
-  fit / analyze / CV stages and emits ``BENCH_pipeline.json`` so the
-  perf trajectory is recorded per commit.
+* :mod:`repro.perf.engine` — the persistent-worker corpus engine and
+  its content-addressed sweep cache.
 
-The cache and parallel helpers sit *below* ``repro.core`` in the layer
-DAG so the classifiers can consume them; the benchmark harness is its
-own top layer (it drives the full pipeline end to end).
+The cache, pool and parallel helpers sit *below* ``repro.core`` in the
+layer DAG so the classifiers can consume them; the corpus engine is its
+own node above ``core`` (it drives the full pipeline).  The repository
+benchmark lives outside the package, in ``bench/``.
 """
 
 from repro.perf.cache import FeatureCache, table_content_hash

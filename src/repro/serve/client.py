@@ -5,9 +5,8 @@ Two shapes, one protocol:
 * :class:`ServiceClient` wraps an in-process
   :class:`~repro.serve.service.ClassificationService` — no sockets,
   no serialization, results arrive as live
-  :class:`~repro.perf.engine.FileResult` objects.  This is what the
-  benchmark's ``service_roundtrip`` block and embedding applications
-  use.
+  :class:`~repro.perf.engine.FileResult` objects.  This is what
+  embedding applications and the in-process service tests use.
 * :func:`connect` opens a TCP connection speaking ``repro-serve/1``
   and returns a :class:`TcpServiceClient` whose classify calls return
   decoded response dicts (use

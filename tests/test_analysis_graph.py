@@ -175,7 +175,7 @@ class TestRealTree:
     def test_cli_dispatch_reaches_handlers(self, graph):
         reach = graph.reachable_from("repro.cli.main")
         assert "repro.cli._cmd_lint" in reach
-        assert "repro.cli._cmd_bench" in reach
+        assert "repro.cli._cmd_fuzz" in reach
 
 
 class TestEscapeAnalysis:

@@ -474,113 +474,6 @@ class TestGenerate:
             main(["generate", "nope", "/tmp/x"])
 
 
-class TestBenchBaseline:
-    """CLI wiring of the baseline diff mode (run_benchmark stubbed so
-    these stay fast; the diff logic itself is tested in test_perf)."""
-
-    @staticmethod
-    def _report(fit_seconds: float = 1.0) -> dict:
-        from repro.perf.bench import BenchConfig
-        from dataclasses import asdict
-
-        return {
-            "schema": "repro-bench/1",
-            "config": asdict(BenchConfig.quick_config()),
-            "fit_seconds": fit_seconds,
-            "stages": {"parsing": 0.01, "profile": 0.02},
-            "analyze": {
-                "legacy_two_pass_seconds": 0.3,
-                "single_pass_seconds": 0.2,
-                "cached_seconds": 0.05,
-                "single_pass_speedup": 1.5,
-                "analyze_speedup": 6.0,
-                "cache_hits": 2,
-                "cache_misses": 1,
-            },
-            "cv": {
-                "uncached_seconds": 0.8,
-                "cached_seconds": 0.5,
-                "speedup": 1.6,
-                "byte_identical": True,
-                "macro_f1": 0.9,
-                "cache_hits": 2,
-                "cache_misses": 2,
-            },
-        }
-
-    def _run(self, monkeypatch, tmp_path, report, argv):
-        import json
-
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "run_benchmark", lambda config: report)
-        out = io.StringIO()
-        output = tmp_path / "current.json"
-        code = cli.main(
-            ["bench", "--quick", "--output", str(output)] + argv, out=out
-        )
-        written = (
-            json.loads(output.read_text(encoding="utf-8"))
-            if output.exists()
-            else None
-        )
-        return code, out.getvalue(), written
-
-    def test_missing_baseline_exits_two(self, monkeypatch, tmp_path):
-        code, text, _ = self._run(
-            monkeypatch, tmp_path, self._report(),
-            ["--baseline", str(tmp_path / "absent.json")],
-        )
-        assert code == 2
-        assert "cannot load baseline" in text
-
-    def test_incompatible_baseline_exits_two(self, monkeypatch, tmp_path):
-        import json
-
-        baseline = self._report()
-        baseline["config"]["rows"] = 9999
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(baseline), encoding="utf-8")
-        code, text, _ = self._run(
-            monkeypatch, tmp_path, self._report(),
-            ["--baseline", str(path)],
-        )
-        assert code == 2
-        assert "different workload" in text
-
-    def test_regression_exits_one(self, monkeypatch, tmp_path):
-        import json
-
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(self._report()), encoding="utf-8")
-        code, text, written = self._run(
-            monkeypatch, tmp_path, self._report(fit_seconds=2.0),
-            ["--baseline", str(path)],
-        )
-        assert code == 1
-        assert "REGRESSED" in text
-        assert written["baseline_comparison"]["regressions"] == [
-            "fit_seconds"
-        ]
-
-    def test_clean_diff_exits_zero_and_embeds_comparison(
-        self, monkeypatch, tmp_path
-    ):
-        import json
-
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps(self._report()), encoding="utf-8")
-        code, text, written = self._run(
-            monkeypatch, tmp_path, self._report(),
-            ["--baseline", str(path), "--baseline-tolerance", "0.5"],
-        )
-        assert code == 0
-        assert "no regressions" in text
-        comparison = written["baseline_comparison"]
-        assert comparison["tolerance"] == 0.5
-        assert comparison["regressions"] == []
-
-
 class TestFailOnSkip:
     """``classify <dir> --fail-on-skip``: skips flip the exit code."""
 

@@ -1,12 +1,13 @@
-"""Byte-identity of compiled forest inference with the legacy path.
+"""Byte-identity of compiled forest inference with the per-tree loop.
 
 The compiled traversal (:mod:`repro.ml.compiled`) is a pure
 performance substitution: for every fitted forest and every input —
 including NaNs, empty batches, single-leaf trees and forests whose
 bootstraps missed a rare class — ``predict_proba`` must reproduce the
-legacy per-tree loop **bit for bit** (``.tobytes()`` equality), not
-merely up to tolerance.  Anything weaker would let chunking or
-compaction choices leak into model outputs.
+per-tree loop (:func:`per_tree_predict_proba`, the oracle kept here)
+**bit for bit** (``.tobytes()`` equality), not merely up to
+tolerance.  Anything weaker would let chunking or compaction choices
+leak into model outputs.
 """
 
 from __future__ import annotations
@@ -15,9 +16,34 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError, NotFittedError
+from repro.ml.base import check_fitted, check_X
 from repro.ml.compiled import CompiledForest
 from repro.ml.forest import RandomForestClassifier
 from repro.obs import get_metrics
+
+
+def per_tree_predict_proba(
+    forest: RandomForestClassifier, X: np.ndarray
+) -> np.ndarray:
+    """The per-tree Python-loop prediction path, the parity oracle.
+
+    One batched descent per tree, aligned onto the forest's global
+    class order and accumulated in tree order, then divided by the
+    tree count.
+    """
+    check_fitted(forest, "estimators_")
+    X = check_X(X, forest.n_features_)
+    class_index = {c: i for i, c in enumerate(forest.classes_)}
+    total = np.zeros(
+        (X.shape[0], len(forest.classes_)), dtype=np.float64
+    )
+    for tree in forest.estimators_:
+        columns = np.array(
+            [class_index[c] for c in tree.classes_], dtype=np.intp
+        )
+        total[:, columns] += tree.predict_proba(X)
+    total /= len(forest.estimators_)
+    return total
 
 
 def _fit(n=300, n_features=5, n_estimators=12, seed=0, **params):
@@ -31,11 +57,11 @@ def _fit(n=300, n_features=5, n_estimators=12, seed=0, **params):
 
 
 def _assert_bit_identical(forest, X):
-    legacy = forest.legacy_predict_proba(X)
+    oracle = per_tree_predict_proba(forest, X)
     compiled = forest.predict_proba(X)
-    assert compiled.dtype == legacy.dtype
-    assert compiled.shape == legacy.shape
-    assert compiled.tobytes() == legacy.tobytes()
+    assert compiled.dtype == oracle.dtype
+    assert compiled.shape == oracle.shape
+    assert compiled.tobytes() == oracle.tobytes()
 
 
 class TestByteParity:
@@ -110,7 +136,7 @@ class TestDegenerateForests:
         # A tree whose training slice never saw class 2 has a 2-class
         # local order; the pre-aligned proba columns must add exact
         # +0.0 for the missing class so the compiled accumulation
-        # matches the legacy column-scatter bit for bit.
+        # matches the oracle's column-scatter bit for bit.
         rng = np.random.default_rng(0)
         X = rng.normal(size=(60, 3))
         y = np.array([0] * 30 + [1] * 28 + [2] * 2)
@@ -125,7 +151,6 @@ class TestDegenerateForests:
         assert len(narrow.classes_) == 2
         forest.estimators_ = forest.estimators_[:-1] + [narrow]
         forest._compiled = None
-        forest._tree_columns = None
         _assert_bit_identical(forest, X)
 
     def test_stump_forest(self):
@@ -142,7 +167,6 @@ class TestDegenerateForests:
         forest.n_estimators = copies
         forest.estimators_ = [tree] * copies
         forest._compiled = None
-        forest._tree_columns = None
         compiled = forest.compile()
         assert compiled._index_dtype == np.int64
         assert 2 * compiled.n_nodes > np.iinfo(np.int16).max
@@ -231,10 +255,10 @@ class TestCompiledStructure:
     def test_predict_matches_legacy_argmax(self):
         forest, X = _fit()
         compiled = forest.compile()
-        legacy = forest.classes_[
-            np.argmax(forest.legacy_predict_proba(X), axis=1)
+        oracle = forest.classes_[
+            np.argmax(per_tree_predict_proba(forest, X), axis=1)
         ]
-        assert np.array_equal(compiled.predict(X), legacy)
+        assert np.array_equal(compiled.predict(X), oracle)
 
 
 class TestStrudelParity:

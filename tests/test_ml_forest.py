@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import InvalidParameterError, NotFittedError
 from repro.ml.forest import RandomForestClassifier
+from tests.test_compiled_parity import per_tree_predict_proba
 
 
 def _data(n=300, seed=0):
@@ -80,22 +81,8 @@ class TestForest:
             n_estimators=10, random_state=0
         ).fit(X, y)
         assert forest.predict_proba(X).tobytes() == (
-            forest.legacy_predict_proba(X).tobytes()
+            per_tree_predict_proba(forest, X).tobytes()
         )
-
-    def test_fit_precomputes_aligned_columns(self):
-        # The per-tree class alignment is computed once at fit time,
-        # not per legacy_predict_proba call.
-        X, y = _data()
-        forest = RandomForestClassifier(
-            n_estimators=4, random_state=0
-        ).fit(X, y)
-        assert forest._tree_columns is not None
-        assert len(forest._tree_columns) == 4
-        for columns, tree in zip(
-            forest._tree_columns, forest.estimators_
-        ):
-            assert len(columns) == len(tree.classes_)
 
     def test_ensemble_smoother_than_single_tree(self):
         """Forest probabilities take intermediate values, unlike a

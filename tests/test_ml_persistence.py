@@ -19,6 +19,7 @@ from repro.ml.persistence import (
     save_forest,
     save_line_classifier,
 )
+from tests.test_compiled_parity import per_tree_predict_proba
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +70,11 @@ class TestForestPersistence:
         assert manifest["format_version"] == 2
         restored = load_forest(tmp_path / "model")
         assert restored._compiled is not None
-        # estimators_ are decompiled back, so the legacy path and
+        # estimators_ are decompiled back, so the per-tree oracle and
         # feature importances still work on a loaded model.
         assert len(restored.estimators_) == 5
-        assert restored.legacy_predict_proba(X).tobytes() == (
-            forest.legacy_predict_proba(X).tobytes()
+        assert per_tree_predict_proba(restored, X).tobytes() == (
+            per_tree_predict_proba(forest, X).tobytes()
         )
 
     def test_version_1_bundle_still_loads(self, tmp_path, training_data):

@@ -32,7 +32,6 @@ from repro.obs import (
     trace_payload,
     write_trace,
 )
-from repro.perf.bench import BenchConfig, run_benchmark
 
 
 # ----------------------------------------------------------------------
@@ -280,10 +279,9 @@ def test_analyze_emits_every_pipeline_stage_span(tiny_corpus):
     assert names[0] == "analyze"
     # Every stage of the glossary except ingest_decode (analyze takes
     # already-decoded text; the bytes entry points emit it — see
-    # test_cli_detect_trace_round_trip) and the bench-only profile
-    # span.
+    # test_cli_detect_trace_round_trip).
     for stage in PIPELINE_STAGES:
-        if stage in ("profile", "ingest_decode"):
+        if stage == "ingest_decode":
             continue
         assert stage in names, f"missing span {stage!r}"
     # All stage spans nest under the analyze root.
@@ -355,20 +353,6 @@ def test_cross_validation_records_fold_metrics(tiny_corpus):
     assert names.count("cv_fold") == 3
     fold_timer = metrics.snapshot()["timers"]["cv.fold_seconds"]
     assert fold_timer["count"] >= 3
-
-
-# ----------------------------------------------------------------------
-# Bench integration: stages come from spans
-# ----------------------------------------------------------------------
-def test_bench_stage_table_matches_span_glossary():
-    config = BenchConfig(
-        scale=0.04, trees=4, rows=40, repeats=1, cv_splits=2,
-        cv_repeats=1, cv_trees=3, quick=True,
-    )
-    report = run_benchmark(config)
-    assert list(report["stages"]) == list(PIPELINE_STAGES)
-    for stage, seconds in report["stages"].items():
-        assert seconds >= 0.0, stage
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The perf subsystem: cache, fan-out helpers, parity, and bench.
+"""The perf subsystem: cache, fan-out helpers and parity.
 
 The contract under test everywhere here: performance machinery may
 change *when* work happens (cache lookups, worker pools), never *what*
@@ -18,16 +18,6 @@ from repro.eval.runner import cross_validate_lines
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import attach_feature_cache
 from repro.obs import get_metrics
-from repro.perf.bench import (
-    BenchConfig,
-    configs_comparable,
-    diff_reports,
-    format_diff,
-    format_summary,
-    load_report,
-    run_benchmark,
-    write_report,
-)
 from repro.perf.cache import FeatureCache, array_hash, table_content_hash
 from repro.perf.parallel import effective_jobs, parallel_map
 from repro.types import Table
@@ -325,9 +315,12 @@ def test_cross_validation_cache_parity(tiny_corpus):
     assert cached.scores.macro_f1 == uncached.scores.macro_f1
     assert cached.scores.accuracy == uncached.scores.accuracy
     np.testing.assert_array_equal(cached.confusion, uncached.confusion)
-    # Three folds over the same files: every fold after the first is
-    # all lookups.
-    assert cache.hits > 0
+    # Three folds over the same files: each file's matrix is extracted
+    # once, and every fold after the first is all lookups.
+    n_files = len(tiny_corpus.files)
+    stats = cache.stats()
+    assert stats["misses"] == n_files
+    assert stats["hits"] == (3 - 1) * n_files
 
 
 def test_attach_feature_cache_protocol(tiny_corpus):
@@ -336,191 +329,3 @@ def test_attach_feature_cache_protocol(tiny_corpus):
     assert attach_feature_cache(strudel, cache) is True
     assert strudel._feature_cache is cache
     assert attach_feature_cache(object(), cache) is False
-
-
-# ----------------------------------------------------------------------
-# Benchmark harness
-# ----------------------------------------------------------------------
-def test_run_benchmark_smoke(tmp_path):
-    config = BenchConfig(
-        scale=0.04, trees=4, rows=40, repeats=1, cv_splits=2,
-        cv_repeats=1, cv_trees=3, quick=True,
-    )
-    report = run_benchmark(config)
-    assert report["schema"] == "repro-bench/1"
-    assert report["cv"]["byte_identical"] is True
-    assert set(report["analyze"]) >= {
-        "legacy_two_pass_seconds",
-        "single_pass_seconds",
-        "cached_seconds",
-        "single_pass_speedup",
-        "analyze_speedup",
-    }
-    assert report["analyze"]["cache_hits"] > 0
-
-    prediction = report["prediction"]
-    assert prediction["rows"] > 0 and prediction["cells"] > 0
-    assert prediction["line_seconds"] > 0
-    assert prediction["cell_seconds"] > 0
-    assert prediction["rows_per_second"] == pytest.approx(
-        prediction["rows"] / prediction["line_seconds"]
-    )
-    assert prediction["cells_per_second"] == pytest.approx(
-        prediction["cells"] / prediction["cell_seconds"]
-    )
-
-    path = write_report(report, tmp_path / "BENCH_pipeline.json")
-    assert path.exists()
-    summary = format_summary(report)
-    assert "single-pass + cache" in summary
-    assert "byte-identical" in summary
-    assert "rows/s" in summary and "cells/s" in summary
-
-    assert "profile" in report["stages"]
-
-    # The saved report round-trips as a baseline for itself: same
-    # numbers, so no metric can regress at any tolerance.
-    baseline = load_report(path)
-    assert configs_comparable(report, baseline)
-    diff = diff_reports(report, baseline, tolerance=0.0)
-    assert diff["regressions"] == []
-    assert "stages.profile" in diff["metrics"]
-    assert "no regressions" in format_diff(diff)
-
-
-# ----------------------------------------------------------------------
-# Baseline diff mode
-# ----------------------------------------------------------------------
-def _fake_report(**overrides) -> dict:
-    report = {
-        "schema": "repro-bench/1",
-        "config": {
-            "corpus": "saus", "scale": 0.06, "trees": 10, "rows": 200,
-            "repeats": 2, "cv_splits": 2, "cv_repeats": 1, "cv_trees": 6,
-            "seed": 0, "n_jobs": 1, "quick": True,
-        },
-        "fit_seconds": 1.0,
-        "stages": {
-            "dialect_detection": 0.01,
-            "parsing": 0.02,
-            "profile": 0.03,
-            "line_features": 0.04,
-            "cell_features": 0.05,
-        },
-        "analyze": {
-            "legacy_two_pass_seconds": 0.3,
-            "single_pass_seconds": 0.2,
-            "cached_seconds": 0.05,
-        },
-        "cv": {
-            "uncached_seconds": 0.8,
-            "cached_seconds": 0.5,
-            "speedup": 1.6,
-        },
-    }
-    report.update(overrides)
-    return report
-
-
-def test_diff_reports_flags_regressions_beyond_tolerance():
-    baseline = _fake_report()
-    current = _fake_report(fit_seconds=1.2)  # +20%: inside 25%
-    diff = diff_reports(current, baseline)
-    assert diff["regressions"] == []
-
-    current = _fake_report(fit_seconds=1.3)  # +30%: beyond 25%
-    diff = diff_reports(current, baseline)
-    assert diff["regressions"] == ["fit_seconds"]
-    assert diff["metrics"]["fit_seconds"]["regressed"] is True
-    assert "REGRESSED" in format_diff(diff)
-
-
-def test_diff_reports_improvements_never_gate():
-    baseline = _fake_report()
-    current = _fake_report(
-        stages={
-            "dialect_detection": 0.01,
-            "parsing": 0.02,
-            "profile": 0.01,
-            "line_features": 0.001,
-            "cell_features": 0.002,
-        }
-    )
-    diff = diff_reports(current, baseline)
-    assert diff["regressions"] == []
-    assert diff["metrics"]["stages.line_features"]["ratio"] < 0.1
-
-
-def test_diff_reports_new_and_missing_metrics_not_gated():
-    baseline = _fake_report()
-    del baseline["stages"]["profile"]
-    current = _fake_report()
-    del current["stages"]["parsing"]
-    diff = diff_reports(current, baseline)
-    assert diff["only_in_current"] == ["stages.profile"]
-    assert diff["only_in_baseline"] == ["stages.parsing"]
-    assert diff["regressions"] == []
-
-
-def test_diff_reports_ratio_metrics_gate_on_shrinkage():
-    # cv.speedup is higher-is-better: the regression test inverts.
-    baseline = _fake_report()
-    current = _fake_report(
-        cv={"uncached_seconds": 0.8, "cached_seconds": 0.6,
-            "speedup": 1.3}  # -19%: inside the 25% tolerance
-    )
-    diff = diff_reports(current, baseline)
-    assert diff["ratios"]["cv.speedup"]["regressed"] is False
-    assert "cv.speedup" not in diff["regressions"]
-
-    current = _fake_report(
-        cv={"uncached_seconds": 0.8, "cached_seconds": 0.82,
-            "speedup": 0.97}  # the cache stopped paying for itself
-    )
-    diff = diff_reports(current, baseline)
-    assert diff["ratios"]["cv.speedup"]["regressed"] is True
-    assert "cv.speedup" in diff["regressions"]
-    rendered = format_diff(diff)
-    assert "higher is better" in rendered
-    assert "REGRESSED" in rendered
-
-
-def test_diff_reports_ratio_growth_never_gates():
-    baseline = _fake_report()
-    current = _fake_report(
-        cv={"uncached_seconds": 0.8, "cached_seconds": 0.2,
-            "speedup": 4.0}
-    )
-    diff = diff_reports(current, baseline)
-    assert diff["regressions"] == []
-
-
-def test_diff_reports_tolerates_baseline_without_ratios():
-    # Baselines recorded before cv.speedup existed must still diff.
-    baseline = _fake_report(
-        cv={"uncached_seconds": 0.8, "cached_seconds": 0.5}
-    )
-    diff = diff_reports(_fake_report(), baseline)
-    assert diff["ratios"] == {}
-    assert diff["regressions"] == []
-
-
-def test_diff_reports_rejects_negative_tolerance():
-    with pytest.raises(InvalidParameterError):
-        diff_reports(_fake_report(), _fake_report(), tolerance=-0.1)
-
-
-def test_configs_comparable_ignores_jobs_but_not_workload():
-    a = _fake_report()
-    b = _fake_report()
-    b["config"]["n_jobs"] = 8
-    assert configs_comparable(a, b)
-    b["config"]["rows"] = 400
-    assert not configs_comparable(a, b)
-
-
-def test_load_report_rejects_wrong_schema(tmp_path):
-    path = tmp_path / "report.json"
-    path.write_text('{"schema": "other/9"}', encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_report(path)
