@@ -41,7 +41,6 @@ from repro.io.ingest import (
 from repro.io.reader import read_table, read_table_text
 from repro.ml.forest import RandomForestClassifier as _RandomForestClassifier
 from repro.obs import Tracer, activate, get_metrics, get_tracer
-from repro.perf.cache import FeatureCache
 from repro.types import AnnotatedFile, CellClass, Corpus, DataType, Table
 
 # Composition root: repro.core may not import repro.ml (layer rule
@@ -58,7 +57,6 @@ __all__ = [
     "Corpus",
     "DataType",
     "Dialect",
-    "FeatureCache",
     "IngestError",
     "IngestPolicy",
     "IngestReport",

@@ -325,7 +325,7 @@ class ProjectGraph:
     ) -> str:
         """Follow import aliases to a canonical dotted name.
 
-        ``get_metrics`` spelled in ``repro.perf.cache`` canonicalizes
+        ``get_metrics`` spelled in ``repro.perf.parallel`` canonicalizes
         to ``repro.obs.metrics.get_metrics`` (through the ``repro.obs``
         re-export); external names keep their spelling
         (``threading.Lock``).

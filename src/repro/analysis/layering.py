@@ -28,11 +28,11 @@ from repro.errors import ConfigurationError
 
 #: Longest-prefix map from module prefix to layering node.
 #:
-#: ``repro.perf`` is split in two: the cache, pool and parallel helpers
-#: form the low-level ``perf`` node (below ``core``, so the classifiers
-#: can consume them), while ``repro.perf.engine`` — which drives the
-#: whole pipeline — is its own ``perf.engine`` node above ``core``.
-#: The longest-prefix lookup makes the split exact.
+#: ``repro.perf`` is split in two: the pool and parallel helpers form
+#: the low-level ``perf`` node (below ``ml``, so the forest fit can fan
+#: out), while ``repro.perf.engine`` — which drives the whole pipeline
+#: — is its own ``perf.engine`` node above ``core``.  The
+#: longest-prefix lookup makes the split exact.
 NODE_BY_PREFIX: dict[str, str] = {
     "repro.util": "util",
     "repro.errors": "errors",
@@ -59,7 +59,7 @@ NODE_BY_PREFIX: dict[str, str] = {
     # pipeline, so unlike the rest of ``repro.perf`` it must sit
     # *above* ``core`` and ``io`` — it is its own node, importable by
     # eval/serve/app, while ``perf.pool``/``perf.parallel`` stay in
-    # the low ``perf`` node below ``core``.
+    # the low ``perf`` node that ``core`` never imports.
     "repro.perf.engine": "perf.engine",
     "repro.perf": "perf",
     # The columnar TableProfile is declared explicitly: it sits at the
@@ -110,7 +110,7 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
         {"dialect", "errors", "io", "obs", "types", "util"}
     ),
     "core": frozenset(
-        {"dialect", "errors", "io", "obs", "perf", "types", "util"}
+        {"dialect", "errors", "io", "obs", "types", "util"}
     ),
     # The persistent-worker corpus engine: pools and the sweep cache
     # from ``perf``, the pipeline from ``core``, ingestion policy from
@@ -135,7 +135,7 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     "eval": frozenset(
         {
             "baselines", "core", "datagen", "dialect", "errors", "io",
-            "ml", "obs", "perf", "perf.engine", "types", "util",
+            "ml", "obs", "types", "util",
         }
     ),
     # The service shell needs the engine it wraps and the layers the

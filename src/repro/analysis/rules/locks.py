@@ -1,6 +1,6 @@
 """R105 — attributes guarded by a lock anywhere are guarded everywhere.
 
-The concurrency story (``FeatureCache``, the tracer, the metrics
+The concurrency story (``SweepCache``, the tracer, the metrics
 registry) is half-locked by construction: a class creates a
 ``threading.Lock``/``RLock`` in ``__init__`` and wraps *most* state
 mutations in ``with self._lock``.  The failure mode is the forgotten
@@ -11,8 +11,9 @@ test.  This rule derives the guarded set *from the code itself*: any
 protected state, and every other mutation of ``X`` in the class must
 either hold the lock or live in a **lock-safe helper** — an
 underscore-named method whose every call site inside the class holds
-the lock (``FeatureCache._admit``).  ``__init__`` is exempt: before
-``__init__`` returns no second thread can hold ``self``.
+the lock (say, a ``_trim`` called only inside ``with self._lock``).
+``__init__`` is exempt: before ``__init__`` returns no second thread
+can hold ``self``.
 
 Mutations counted: assignment / augmented assignment / ``del`` through
 ``self.X`` (including subscripts and nested attributes, which mutate

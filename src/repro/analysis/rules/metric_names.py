@@ -12,10 +12,11 @@ and a ``metrics = get_metrics()`` local both count, while
 
 * a string literal must appear in ``METRIC_NAMES`` *exactly* —
   wildcard entries never cover literals, because a literal is fully
-  known statically and letting ``feature_cache.*`` absorb a typo'd
-  ``feature_cache.hitz`` would defeat the check;
-* an f-string is allowed when a wildcard entry (``"feature_cache.*"``)
-  covers its literal prefix — the dynamic per-corpus gauges;
+  known statically and letting ``cache.*`` absorb a typo'd
+  ``cache.hitz`` would defeat the check;
+* an f-string is allowed when a wildcard entry (``"cache.*"``) covers
+  its literal prefix — a family of dynamic names such as per-corpus
+  gauges;
 * anything else (a variable, an unprefixed f-string) is a finding:
   the registry cannot vouch for a name it cannot see.
 

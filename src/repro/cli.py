@@ -112,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--seed", type=int, default=0)
     classify.add_argument(
         "--jobs", type=int, default=1,
-        help="worker count for feature extraction and forest "
-             "training; never changes predictions (default: 1)",
+        help="worker count for forest training and directory "
+             "sweeps; never changes predictions (default: 1)",
     )
     classify.add_argument(
         "--cells", action="store_true",

@@ -109,11 +109,10 @@ class CellFeatureExtractor:
 
     @property
     def cache_key(self) -> str:
-        """Stable configuration key for corpus-level feature caches.
-
-        The line-probability input is *not* part of this key; callers
-        hash it separately (see ``StrudelCellClassifier``).
-        """
+        """Stable configuration key: everything :meth:`extract`
+        depends on besides the table and its line probabilities (part
+        of the corpus engine's model fingerprint,
+        :mod:`repro.perf.engine`)."""
         return f"cell-v1({self.detector.cache_key})"
 
     # ------------------------------------------------------------------

@@ -118,11 +118,9 @@ class LineFeatureExtractor:
 
     @property
     def cache_key(self) -> str:
-        """Stable configuration key for corpus-level feature caches.
-
-        Covers everything :meth:`extract` depends on besides the table
-        itself; see :mod:`repro.perf.cache`.
-        """
+        """Stable configuration key: everything :meth:`extract`
+        depends on besides the table itself (part of the corpus
+        engine's model fingerprint, :mod:`repro.perf.engine`)."""
         return (
             f"line-v1(global={int(self.include_global_features)},"
             f"{self.detector.cache_key})"

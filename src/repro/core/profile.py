@@ -51,7 +51,6 @@ import numpy as np
 
 from repro.core.datatypes import infer_data_type, parse_number
 from repro.core.keywords import contains_aggregation_keyword
-from repro.perf.cache import table_content_hash
 from repro.types import DataType, Table
 from repro.util.text import count_words
 
@@ -368,16 +367,6 @@ class TableProfile:
             detected = detector.detect_profile(self)
             self._derived_memo[key] = detected
         return detected
-
-    # ------------------------------------------------------------------
-    # Identity
-    # ------------------------------------------------------------------
-    @cached_property
-    def content_hash(self) -> str:
-        """The table's content hash (see
-        :func:`repro.perf.cache.table_content_hash`), computed once
-        and shared by every feature-cache key for this table."""
-        return table_content_hash(self.table)
 
     # ------------------------------------------------------------------
     def materialize(self) -> "TableProfile":

@@ -19,11 +19,10 @@ exactly once per table and shared — :meth:`StrudelLineClassifier.infer`
 returns a :class:`LineInference` carrying both the matrix and the
 aligned class probabilities, and every downstream consumer (line
 labels, the ``LineClassProbability`` cell features, cell prediction)
-derives from that one object.  An optional
-:class:`~repro.perf.cache.FeatureCache` memoizes matrices across
-repeated analyses and cross-validation folds, and ``n_jobs`` fans
-per-file extraction out over a worker pool without changing any
-result (ordered, per-file-independent work).
+derives from that one object.  Cross-validation folds touch the same
+``Table`` objects, so every fold after the first reuses each table's
+memoized :class:`~repro.core.profile.TableProfile`.  ``n_jobs`` only
+sizes the forest backbone and never changes a result.
 """
 
 from __future__ import annotations
@@ -48,10 +47,7 @@ from repro.io.ingest import (
     ingest_bytes,
     ingest_text,
 )
-from repro.core.profile import table_profile
 from repro.obs import get_tracer
-from repro.perf.cache import FeatureCache, array_hash
-from repro.perf.parallel import parallel_map
 from repro.types import (
     CLASS_TO_INDEX,
     CONTENT_CLASSES,
@@ -184,9 +180,8 @@ class StrudelLineClassifier:
         Optional tuple of feature names to keep (feature-group
         ablations); ``None`` keeps all.
     n_jobs:
-        Worker count for per-file feature extraction during ``fit``
-        and for the default forest backbone; results are independent
-        of the value (deterministic parallelism).
+        Worker count for the default forest backbone; results are
+        independent of the value (deterministic parallelism).
     """
 
     def __init__(
@@ -206,24 +201,8 @@ class StrudelLineClassifier:
         self._classifier_factory = classifier_factory
         self._model = None
         self._columns: np.ndarray | None = None
-        self._feature_cache: FeatureCache | None = None
 
     # ------------------------------------------------------------------
-    def set_feature_cache(self, cache: FeatureCache | None) -> None:
-        """Attach (or detach) a corpus-level feature cache."""
-        self._feature_cache = cache
-
-    def __getstate__(self) -> dict:
-        """Pickle without the feature cache.
-
-        The cache is a process-local resource (it holds a lock and is
-        shared with sibling classifiers); shipping a classifier to a
-        worker process broadcasts the *model*, never the cache.
-        """
-        state = self.__dict__.copy()
-        state["_feature_cache"] = None
-        return state
-
     def _make_model(self):
         if self._classifier_factory is not None:
             return self._classifier_factory()
@@ -242,37 +221,19 @@ class StrudelLineClassifier:
         return np.array([index[n] for n in self.feature_subset])
 
     # ------------------------------------------------------------------
-    # Feature extraction (cached, fan-out capable)
+    # Feature extraction
     # ------------------------------------------------------------------
     def _extract(self, table: Table) -> np.ndarray:
-        """The full line feature matrix for one table, via the cache.
-
-        The cache stores pre-column-selection matrices so one entry
-        serves every feature subset; ``_columns`` is applied by the
-        consumers.
-        """
+        """The full (pre-column-selection) line feature matrix for one
+        table; ``_columns`` is applied by the consumers."""
         with get_tracer().span("line_features"):
-            if self._feature_cache is None:
-                return self.extractor.extract(table)
-            key = FeatureCache.make_key(
-                "line",
-                self.extractor.cache_key,
-                table_profile(table).content_hash,
-            )
-            (features,) = self._feature_cache.get_or_compute(
-                key, lambda: (self.extractor.extract(table),)
-            )
-            return features
+            return self.extractor.extract(table)
 
     def extract_features(
         self, tables: list[Table]
     ) -> list[np.ndarray]:
-        """Per-table full feature matrices, fanned out over ``n_jobs``.
-
-        Output order matches input order regardless of the worker
-        count, so training data assembly stays deterministic.
-        """
-        return parallel_map(self._extract, tables, n_jobs=self.n_jobs)
+        """Per-table full feature matrices, in input order."""
+        return [self._extract(table) for table in tables]
 
     # ------------------------------------------------------------------
     def fit(
@@ -399,20 +360,8 @@ class StrudelCellClassifier:
         self._model = None
         self._columns: np.ndarray | None = None
         self._line_fitted_here = False
-        self._feature_cache: FeatureCache | None = None
 
     # ------------------------------------------------------------------
-    def set_feature_cache(self, cache: FeatureCache | None) -> None:
-        """Attach a feature cache to this classifier and its Strudel-L."""
-        self._feature_cache = cache
-        self.line_classifier.set_feature_cache(cache)
-
-    def __getstate__(self) -> dict:
-        """Pickle without the feature cache (see Strudel-L)."""
-        state = self.__dict__.copy()
-        state["_feature_cache"] = None
-        return state
-
     def _make_model(self):
         if self._classifier_factory is not None:
             return self._classifier_factory()
@@ -431,56 +380,19 @@ class StrudelCellClassifier:
         return np.array([index[n] for n in self.feature_subset])
 
     # ------------------------------------------------------------------
-    def _extract_cells(
-        self, table: Table, probabilities: np.ndarray
-    ) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """Positions and full cell feature matrix, via the cache.
-
-        Cell features depend on the upstream line probabilities, so
-        the cache key includes their hash — two different line models
-        can never share an entry.
-        """
-        with get_tracer().span("cell_features"):
-            if self._feature_cache is None:
-                return self.extractor.extract(table, probabilities)
-            key = FeatureCache.make_key(
-                "cell",
-                self.extractor.cache_key,
-                table_profile(table).content_hash,
-                array_hash(probabilities),
-            )
-            positions_array, features = (
-                self._feature_cache.get_or_compute(
-                    key,
-                    lambda: self._pack_extraction(table, probabilities),
-                )
-            )
-            positions = [(int(i), int(j)) for i, j in positions_array]
-            return positions, features
-
     def extract_cells(
         self, table: Table, probabilities: np.ndarray
     ) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """Public face of the cell feature pass: positions and the
-        full feature matrix for every non-empty cell.
+        """The cell feature pass: positions and the full feature matrix
+        for every non-empty cell.
 
         Callers that want to time or batch prediction separately from
         extraction (the benchmark's per-layer timings in
         ``bench/layers.py``) pair this with
         :meth:`predict_from_features`.
         """
-        return self._extract_cells(table, probabilities)
-
-    def _pack_extraction(
-        self, table: Table, probabilities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        positions, features = self.extractor.extract(table, probabilities)
-        packed = (
-            np.array(positions, dtype=np.int64)
-            if positions
-            else np.zeros((0, 2), dtype=np.int64)
-        )
-        return packed, features
+        with get_tracer().span("cell_features"):
+            return self.extractor.extract(table, probabilities)
 
     # ------------------------------------------------------------------
     def fit(self, files: list[AnnotatedFile]) -> "StrudelCellClassifier":
@@ -506,7 +418,7 @@ class StrudelCellClassifier:
             probabilities = (
                 self.line_classifier.predict_proba_from_features(matrix)
             )
-            positions, features = self._extract_cells(
+            positions, features = self.extract_cells(
                 annotated.table, probabilities
             )
             if not positions:
@@ -565,7 +477,7 @@ class StrudelCellClassifier:
             probabilities = self.line_classifier.predict_proba(table)
         else:
             probabilities = line_inference.probabilities
-        positions, features = self._extract_cells(table, probabilities)
+        positions, features = self.extract_cells(table, probabilities)
         return self.predict_from_features(positions, features)
 
     def predict(
@@ -639,12 +551,8 @@ class StrudelPipeline:
     n_estimators, random_state, crop:
         Model size, seed, and whether to crop parsed tables.
     n_jobs:
-        Worker count threaded through feature extraction and the
-        forest backbone; never changes predictions.
-    feature_cache:
-        Optional :class:`~repro.perf.cache.FeatureCache` shared by
-        both classifiers, so repeated analyses of the same content
-        skip extraction.
+        Worker count threaded through to the forest backbone; never
+        changes predictions.
     """
 
     def __init__(
@@ -653,7 +561,6 @@ class StrudelPipeline:
         random_state: int | None = None,
         crop: bool = True,
         n_jobs: int | None = 1,
-        feature_cache: FeatureCache | None = None,
     ):
         self.line_classifier = StrudelLineClassifier(
             n_estimators=n_estimators, random_state=random_state,
@@ -667,12 +574,6 @@ class StrudelPipeline:
         )
         self.crop = crop
         self.n_jobs = n_jobs
-        if feature_cache is not None:
-            self.set_feature_cache(feature_cache)
-
-    def set_feature_cache(self, cache: FeatureCache | None) -> None:
-        """Attach a feature cache to both classifiers."""
-        self.cell_classifier.set_feature_cache(cache)
 
     def fit(self, files: list[AnnotatedFile]) -> "StrudelPipeline":
         """Train both classifiers on annotated files."""

@@ -12,7 +12,6 @@ corpora) when more time is available.
 from __future__ import annotations
 
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,8 +36,6 @@ from repro.core.strudel import (
 )
 from repro.datagen.corpora import make_corpus
 from repro.io.annotations import load_corpus
-from repro.io.writer import write_csv_text
-from repro.perf.engine import CorpusEngine
 from repro.eval.runner import (
     ClassificationScores,
     CVResult,
@@ -54,8 +51,6 @@ from repro.ml.knn import KNeighborsClassifier
 from repro.ml.metrics import f1_per_class
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.svm import LinearSVM
-from repro.obs import get_metrics
-from repro.perf.cache import FeatureCache
 from repro.types import (
     CLASS_TO_INDEX,
     CONTENT_CLASSES,
@@ -94,9 +89,6 @@ class ExperimentConfig:
     #: encoding surfaces as a typed ``ReproError``, not a crash.
     corpus_dir: str | None = None
     _corpora: dict[str, Corpus] = field(default_factory=dict, repr=False)
-    _caches: dict[str, FeatureCache] = field(
-        default_factory=dict, repr=False
-    )
 
     @classmethod
     def from_env(cls) -> "ExperimentConfig":
@@ -148,36 +140,6 @@ class ExperimentConfig:
             self.corpus("cius"), self.corpus("deex"), name="saus+cius+deex"
         )
 
-    def feature_cache(self, name: str) -> FeatureCache:
-        """The (shared) corpus-level feature cache for corpus ``name``.
-
-        Sized to hold one line and one cell matrix per file so a full
-        repeated-CV run over the corpus never evicts.
-        """
-        if name not in self._caches:
-            n_files = max(1, len(self.corpus(name).files))
-            self._caches[name] = FeatureCache(max_entries=2 * n_files)
-        return self._caches[name]
-
-    def cache_stats(self) -> dict[str, dict[str, int]]:
-        """Locked counter snapshots of every per-corpus feature cache.
-
-        Each snapshot comes from :meth:`FeatureCache.stats` (never
-        from unlocked attribute reads) and is also published as
-        ``feature_cache.<corpus>.*`` gauges so a trace written at the
-        end of a run carries the final cache state.
-        """
-        metrics = get_metrics()
-        stats: dict[str, dict[str, int]] = {}
-        for name in sorted(self._caches):
-            snapshot = self._caches[name].stats()
-            stats[name] = snapshot
-            for field_name, value in snapshot.items():
-                metrics.gauge(
-                    f"feature_cache.{name}.{field_name}", value
-                )
-        return stats
-
     # ------------------------------------------------------------------
     # Algorithm factories
     # ------------------------------------------------------------------
@@ -219,73 +181,6 @@ class ExperimentConfig:
         kwargs.setdefault("random_state", self.seed)
         kwargs.setdefault("n_jobs", self.n_jobs)
         return StrudelPipeline(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# Corpus-scale sweeps through the persistent-worker engine
-# ----------------------------------------------------------------------
-def materialize_corpus(corpus: Corpus, directory: str | Path) -> list[Path]:
-    """Write a corpus's tables to ``directory`` as CSV files.
-
-    Returns the file paths in corpus order — the on-disk shape the
-    corpus engine (and ``repro classify <dir>``) consumes.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths: list[Path] = []
-    for annotated in corpus.files:
-        path = directory / f"{annotated.name}.csv"
-        path.write_text(
-            write_csv_text(annotated.table.rows()), encoding="utf-8"
-        )
-        paths.append(path)
-    return paths
-
-
-def corpus_sweep(
-    config: ExperimentConfig,
-    train: str = "saus",
-    target: str | None = None,
-    directory: str | Path | None = None,
-    cache_dir: str | Path | None = None,
-) -> dict:
-    """Sweep one corpus through an engine built on another's model.
-
-    Trains a pipeline on ``train`` (feature-cached, config-sized),
-    materializes ``target`` (default: the training corpus itself) as
-    CSV files, and runs a :class:`~repro.perf.engine.CorpusEngine`
-    sweep over them at ``config.n_jobs`` workers.  Returns the sweep
-    report plus aggregate line-class counts — the corpus-scale
-    companion to the per-file ``analyze`` experiments.
-    """
-    target = target or train
-    pipeline = config.strudel_pipeline(
-        feature_cache=config.feature_cache(train)
-    )
-    pipeline.fit(config.corpus(train).files)
-    with tempfile.TemporaryDirectory() as scratch:
-        paths = materialize_corpus(
-            config.corpus(target), directory or scratch
-        )
-        with CorpusEngine(
-            pipeline,
-            n_jobs=config.n_jobs,
-            cache_dir=cache_dir,
-        ) as engine:
-            results, report = engine.sweep_paths(paths)
-    line_counts: Counter = Counter()
-    cells = 0
-    for _path, result in results:
-        for klass in result.line_classes():
-            line_counts[klass.value] += 1
-        cells += len(result.cell_codes)
-    return {
-        "train": train,
-        "target": target,
-        "report": report.as_dict(),
-        "line_class_counts": dict(sorted(line_counts.items())),
-        "classified_cells": cells,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +277,6 @@ def line_comparison(
                 n_repeats=config.n_repeats,
                 seed=config.seed,
                 exclude_derived=(name == "Pytheas-L"),
-                feature_cache=config.feature_cache(dataset),
             )
     return results
 
@@ -409,7 +303,6 @@ def cell_comparison(
                 n_splits=config.n_splits,
                 n_repeats=config.n_repeats,
                 seed=config.seed,
-                feature_cache=config.feature_cache(dataset),
             )
     return results
 

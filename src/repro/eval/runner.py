@@ -30,8 +30,7 @@ from repro.ml.metrics import (
     macro_f1,
     support_per_class,
 )
-from repro.ml.model_selection import RepeatedGroupKFold, attach_feature_cache
-from repro.perf.cache import FeatureCache
+from repro.ml.model_selection import RepeatedGroupKFold
 from repro.types import CONTENT_CLASSES, AnnotatedFile, CellClass, Corpus, Table
 
 
@@ -220,7 +219,6 @@ def _cross_validate(
     n_repeats: int,
     seed: int | None,
     labels: tuple[CellClass, ...],
-    feature_cache: FeatureCache | None = None,
     **collect_kwargs,
 ) -> CVResult:
     names = [annotated.name for annotated in corpus.files]
@@ -257,12 +255,6 @@ def _cross_validate(
                 flush_repetition()
                 current_repetition = repetition
             model = factory()
-            if feature_cache is not None:
-                # Shared across folds and repetitions: the per-file
-                # matrices only depend on content + extractor config,
-                # so every extraction after the first fold is a
-                # lookup.
-                attach_feature_cache(model, feature_cache)
             # The fold is timed explicitly (not via span duration)
             # so the timer works under the default NullTracer too.
             fold_started = time.perf_counter()
@@ -305,14 +297,8 @@ def cross_validate_lines(
     n_repeats: int = 10,
     seed: int | None = 0,
     exclude_derived: bool = False,
-    feature_cache: FeatureCache | None = None,
 ) -> CVResult:
-    """Repeated grouped CV of a line algorithm over ``corpus``.
-
-    ``feature_cache`` is offered to every fold's model (see
-    :func:`repro.ml.model_selection.attach_feature_cache`); caching
-    never changes scores, only how often matrices are extracted.
-    """
+    """Repeated grouped CV of a line algorithm over ``corpus``."""
     labels = tuple(
         c
         for c in CONTENT_CLASSES
@@ -320,8 +306,7 @@ def cross_validate_lines(
     )
     return _cross_validate(
         corpus, factory, evaluate_lines, n_splits, n_repeats, seed,
-        labels, feature_cache=feature_cache,
-        exclude_derived=exclude_derived,
+        labels, exclude_derived=exclude_derived,
     )
 
 
@@ -331,12 +316,11 @@ def cross_validate_cells(
     n_splits: int = 10,
     n_repeats: int = 10,
     seed: int | None = 0,
-    feature_cache: FeatureCache | None = None,
 ) -> CVResult:
     """Repeated grouped CV of a cell algorithm over ``corpus``."""
     return _cross_validate(
         corpus, factory, evaluate_cells, n_splits, n_repeats, seed,
-        CONTENT_CLASSES, feature_cache=feature_cache,
+        CONTENT_CLASSES,
     )
 
 

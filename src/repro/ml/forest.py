@@ -166,9 +166,7 @@ class RandomForestClassifier:
         worker = partial(
             _fit_tree_batch, X, y, tree_params, self.bootstrap
         )
-        results = parallel_map(
-            worker, batches, n_jobs=jobs, prefer="processes"
-        )
+        results = parallel_map(worker, batches, n_jobs=jobs)
         flat = [triple for batch in results for triple in batch]
         flat.sort(key=lambda triple: triple[0])
         return flat

@@ -9,43 +9,12 @@ indices, so that guarantee holds by construction.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.obs import get_metrics
-from repro.perf.cache import FeatureCache
 from repro.util.rng import as_generator
-
-
-@runtime_checkable
-class SupportsFeatureCache(Protocol):
-    """An estimator that can reuse a corpus-level feature cache.
-
-    Repeated grouped CV refits a fresh model per fold, but the per-file
-    feature matrices it extracts depend only on the file contents and
-    the extractor configuration — attaching one shared
-    :class:`~repro.perf.cache.FeatureCache` across folds makes every
-    extraction after the first a lookup (the Strudel classifiers
-    implement this protocol).
-    """
-
-    def set_feature_cache(self, cache: FeatureCache | None) -> None: ...
-
-
-def attach_feature_cache(model: object, cache: FeatureCache) -> bool:
-    """Attach ``cache`` to ``model`` if it supports feature caching.
-
-    Returns whether the model accepted the cache; estimators without
-    per-file feature extraction (CRF-L, Pytheas-L, RNN-C, …) are left
-    untouched so the evaluation runners stay algorithm-agnostic.
-    """
-    if isinstance(model, SupportsFeatureCache):
-        model.set_feature_cache(cache)
-        get_metrics().increment("cv.feature_cache_attached")
-        return True
-    return False
 
 
 class GroupKFold:

@@ -6,15 +6,14 @@ module serializes the random-forest family to a directory containing
 a JSON manifest plus one compressed ``.npz`` with all arrays — no
 arbitrary code execution on load, unlike pickle.
 
-Since format version 2 the stored arrays are the forest's *compiled*
-inference tensors (:class:`~repro.ml.compiled.CompiledForest`), so a
-loaded model predicts through the packed fast path immediately;
-version-1 bundles (one array set per tree) still load and compile
-lazily on first predict.
+The stored arrays are the forest's *compiled* inference tensors
+(:class:`~repro.ml.compiled.CompiledForest`), so a loaded model
+predicts through the packed fast path immediately.  Only the current
+:data:`FORMAT_VERSION` loads; models are cheap to regenerate, so an
+older bundle is rejected rather than converted.
 
 Supported objects:
 
-* :class:`~repro.ml.tree.DecisionTreeClassifier`
 * :class:`~repro.ml.forest.RandomForestClassifier`
 * :class:`~repro.core.strudel.StrudelLineClassifier`
 * :class:`~repro.core.strudel.StrudelCellClassifier`
@@ -35,16 +34,12 @@ from repro.errors import NotFittedError, ReproError
 from repro.io.ingest import IngestPolicy, decode_path
 from repro.ml.compiled import CompiledForest
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.tree import DecisionTreeClassifier
 
 #: Version 2 stores the forest as its *compiled* tensors (one array
 #: set for the whole forest, probabilities pre-aligned to the global
-#: class order) instead of per-tree ``tree{i}_*`` arrays — a load is
-#: then predict-ready without a compile pass.  Version-1 bundles are
-#: still read (and recompiled on first predict).
+#: class order) instead of version 1's per-tree ``tree{i}_*`` arrays —
+#: a load is then predict-ready without a compile pass.
 FORMAT_VERSION = 2
-
-_SUPPORTED_VERSIONS = frozenset({1, FORMAT_VERSION})
 
 #: Manifests are UTF-8 JSON we wrote ourselves: tolerate a BOM (some
 #: transports add one) but reject undecodable bytes outright rather
@@ -54,22 +49,6 @@ _MANIFEST_POLICY = IngestPolicy.strict_policy()
 
 class PersistenceError(ReproError):
     """Raised when a model directory is missing or malformed."""
-
-
-# ----------------------------------------------------------------------
-# Trees
-# ----------------------------------------------------------------------
-def _tree_from_arrays(arrays: dict, prefix: str,
-                      n_features: int) -> DecisionTreeClassifier:
-    tree = DecisionTreeClassifier()
-    tree._feature = arrays[f"{prefix}feature"]
-    tree._threshold = arrays[f"{prefix}threshold"]
-    tree._left = arrays[f"{prefix}left"]
-    tree._right = arrays[f"{prefix}right"]
-    tree._proba = arrays[f"{prefix}proba"]
-    tree.classes_ = arrays[f"{prefix}classes"]
-    tree.n_features_ = n_features
-    return tree
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +109,7 @@ def _read_manifest(directory: Path, expected_kind: str) -> dict:
         raise PersistenceError(
             f"malformed manifest.json in {directory}: {exc}"
         ) from exc
-    if manifest.get("format_version") not in _SUPPORTED_VERSIONS:
+    if manifest.get("format_version") != FORMAT_VERSION:
         raise PersistenceError(
             f"unsupported format version {manifest.get('format_version')}"
         )
@@ -145,11 +124,9 @@ def _read_manifest(directory: Path, expected_kind: str) -> dict:
 def load_forest(directory: str | Path) -> RandomForestClassifier:
     """Load a forest saved by :func:`save_forest`.
 
-    Version-2 bundles hand their tensors straight to
-    :class:`CompiledForest` (the loaded model is predict-ready, no
-    compile pass) and reconstruct ``estimators_`` by decompiling them;
-    version-1 bundles read the per-tree arrays and compile lazily on
-    first predict.
+    The tensors go straight to :class:`CompiledForest` (the loaded
+    model is predict-ready, no compile pass), and ``estimators_`` is
+    reconstructed by decompiling them.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory, "random_forest")
@@ -166,39 +143,31 @@ def load_forest(directory: str | Path) -> RandomForestClassifier:
     )
     forest.classes_ = arrays["classes"]
     forest.n_features_ = manifest["n_features"]
-    if manifest["format_version"] >= 2:
-        try:
-            compiled = CompiledForest(
-                feature=arrays["feature"],
-                threshold=arrays["threshold"],
-                left=arrays["left"],
-                right=arrays["right"],
-                proba=arrays["proba"],
-                roots=arrays["roots"],
-                classes=arrays["classes"],
-                n_features=manifest["n_features"],
-                tree_classes=arrays["tree_classes"],
-                tree_class_offsets=arrays["tree_class_offsets"],
-            )
-        except KeyError as exc:
-            raise PersistenceError(
-                f"version-2 bundle in {directory} is missing the "
-                f"compiled array {exc}"
-            ) from exc
-        if compiled.n_trees != manifest["n_estimators"]:
-            raise PersistenceError(
-                f"manifest declares {manifest['n_estimators']} trees "
-                f"but the tensors pack {compiled.n_trees}"
-            )
-        forest._compiled = compiled
-        forest.estimators_ = compiled.decompile()
-    else:
-        forest.estimators_ = [
-            _tree_from_arrays(
-                arrays, f"tree{index}_", manifest["n_features"]
-            )
-            for index in range(manifest["n_estimators"])
-        ]
+    try:
+        compiled = CompiledForest(
+            feature=arrays["feature"],
+            threshold=arrays["threshold"],
+            left=arrays["left"],
+            right=arrays["right"],
+            proba=arrays["proba"],
+            roots=arrays["roots"],
+            classes=arrays["classes"],
+            n_features=manifest["n_features"],
+            tree_classes=arrays["tree_classes"],
+            tree_class_offsets=arrays["tree_class_offsets"],
+        )
+    except KeyError as exc:
+        raise PersistenceError(
+            f"version-2 bundle in {directory} is missing the "
+            f"compiled array {exc}"
+        ) from exc
+    if compiled.n_trees != manifest["n_estimators"]:
+        raise PersistenceError(
+            f"manifest declares {manifest['n_estimators']} trees "
+            f"but the tensors pack {compiled.n_trees}"
+        )
+    forest._compiled = compiled
+    forest.estimators_ = compiled.decompile()
     return forest
 
 

@@ -1,7 +1,7 @@
 """Process-local metrics registry: counters, gauges, timers.
 
 One :class:`Metrics` instance per process (:func:`get_metrics`)
-absorbs the pipeline's operational events — feature-cache hits and
+absorbs the pipeline's operational events — sweep-cache hits and
 misses, ingestion repairs, process-pool degradations, CV fold counts —
 so "what did the system do?" has one queryable answer instead of a
 scatter of per-object counters.  All mutation happens under a lock;
@@ -9,7 +9,7 @@ scatter of per-object counters.  All mutation happens under a lock;
 never see a torn state (the unlocked-read bug this module retires).
 
 Names are dotted, lowercase, and owned by the emitting subsystem
-(``feature_cache.hits``, ``ingest.recovered``,
+(``sweep_cache.hits``, ``ingest.recovered``,
 ``parallel.pool_degraded``, ``cv.folds``); the full glossary lives in
 ``docs/observability.md``.
 """
@@ -24,19 +24,14 @@ from typing import Iterator
 #: Every metric name the pipeline may emit.  The metric-name lint
 #: (R104) requires each ``increment``/``gauge``/``observe``/``time``
 #: call site outside this module to use a literal from this tuple; a
-#: trailing ``.*`` entry declares a wildcard family for dynamic names
-#: built from a literal prefix (the per-corpus cache gauges).  Keep
+#: trailing ``.*`` entry would declare a wildcard family for dynamic
+#: names built from a literal prefix (none is declared today).  Keep
 #: this list in sync with the glossary in ``docs/observability.md``.
 METRIC_NAMES: tuple[str, ...] = (
     "compiled_forest.compiles",
     "compiled_forest.nodes",
     "cv.folds",
     "cv.fold_seconds",
-    "cv.feature_cache_attached",
-    "feature_cache.hits",
-    "feature_cache.misses",
-    "feature_cache.evictions",
-    "feature_cache.*",
     "parallel.pool_degraded",
     "worker_pool.spawns",
     "worker_pool.reuses",

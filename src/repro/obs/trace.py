@@ -143,24 +143,6 @@ class Tracer:
             record.end = time.perf_counter()
             stack.pop()
 
-    def durations(self, names: tuple[str, ...] | None = None,
-                  start_index: int = 0) -> dict[str, float]:
-        """First-occurrence duration per span name, in ``names`` order.
-
-        ``start_index`` restricts the scan to spans started at or
-        after that position, so a caller can read only the spans of
-        its own run.
-        """
-        found: dict[str, float] = {}
-        for record in self.spans[start_index:]:
-            if names is not None and record.name not in names:
-                continue
-            if record.name not in found:
-                found[record.name] = record.duration
-        if names is None:
-            return found
-        return {name: found[name] for name in names if name in found}
-
 
 class _NullSpan:
     """The reusable do-nothing context manager ``NullTracer`` returns."""

@@ -348,8 +348,7 @@ class SweepCache:
     corrupt entry (however it got there) is removed and treated as a
     miss.  Counters mirror into the metrics registry
     (``sweep_cache.hits`` / ``sweep_cache.misses`` /
-    ``sweep_cache.evictions``) and snapshot through :meth:`stats`,
-    exactly like :class:`~repro.perf.cache.FeatureCache`.
+    ``sweep_cache.evictions``) and snapshot through :meth:`stats`.
     """
 
     def __init__(
@@ -524,10 +523,10 @@ class CorpusEngine:
         A **fitted** :class:`~repro.core.strudel.StrudelPipeline`;
         fingerprinted at construction, broadcast to workers once.
     n_jobs:
-        Worker processes (``parallel_map`` semantics: ``None``/``1``
-        sequential, ``<=0`` all cores).  The worker pool is sized from
-        it once and persists across sweeps; results are byte-identical
-        for any value.
+        Worker processes (:func:`~repro.perf.parallel.effective_jobs`
+        semantics: ``None``/``1`` sequential, ``<=0`` all cores).  The
+        worker pool is sized from it once and persists across sweeps;
+        results are byte-identical for any value.
     policy:
         Ingest policy applied to every file (part of the cache key).
     cache_dir:

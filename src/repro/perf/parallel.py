@@ -1,8 +1,8 @@
-"""Deterministic fan-out helpers.
+"""Deterministic process fan-out.
 
 The rule for every parallel path in this repository: parallelism may
-change *when* work happens, never *what* it computes.  Both helpers
-here guarantee that by construction:
+change *when* work happens, never *what* it computes.
+:func:`parallel_map` guarantees that by construction:
 
 * work items are submitted in input order and results are collected
   back into input order, so downstream reductions see the exact
@@ -11,21 +11,18 @@ here guarantee that by construction:
   seeded stream per item (see :func:`repro.util.rng.spawn`), so the
   schedule cannot leak into the numbers.
 
-``parallel_map`` prefers a thread pool (cheap start-up; numpy releases
-the GIL in its hot kernels) and can opt into a process pool for
-CPU-bound pure-Python work such as tree induction.  Process fan-outs
-run on the persistent shared :class:`repro.perf.pool.WorkerPool`, so
-repeated calls (one forest fit per CV fold, one batch per corpus
-shard) reuse warm workers instead of forking a pool each time.  A
-failure to
-stand up or use the pool *itself* — missing ``fork``, unpicklable
-payload, a sandbox without ``sem_open``, a worker killed from outside
-— degrades to the sequential path, which is always equivalent, and
-the degradation is recorded (a ``parallel.pool_degraded`` metric plus
-a ``RuntimeWarning``) so a silently-sequential deployment cannot
-masquerade as a parallel one.  An exception raised by the work
-function is **not** infrastructure: it propagates immediately and the
-work is never re-run.
+Its one caller is the random forest's fit, whose pure-Python tree
+induction is CPU-bound; the work runs on the persistent shared
+:class:`repro.perf.pool.WorkerPool`, so repeated fits (one per CV
+fold) reuse warm workers instead of forking a pool each time.  A
+failure to stand up or use the pool *itself* — missing ``fork``,
+unpicklable payload, a sandbox without ``sem_open``, a worker killed
+from outside — degrades to the sequential path, which is always
+equivalent, and the degradation is recorded (a
+``parallel.pool_degraded`` metric plus a ``RuntimeWarning``) so a
+silently-sequential deployment cannot masquerade as a parallel one.
+An exception raised by the work function is **not** infrastructure:
+it propagates immediately and the work is never re-run.
 """
 
 from __future__ import annotations
@@ -33,11 +30,9 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.errors import InvalidParameterError
 from repro.obs import get_metrics
 from repro.perf.pool import shared_pool
 
@@ -98,60 +93,52 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     n_jobs: int | None = 1,
-    prefer: str = "threads",
 ) -> list[R]:
-    """Apply ``fn`` to every item, preserving input order in the output.
+    """Apply ``fn`` to every item in worker processes, preserving
+    input order in the output.
 
     Parameters
     ----------
     fn:
-        The per-item function.  For ``prefer="processes"`` it must be
-        picklable (a module-level function or ``functools.partial`` of
-        one).
+        The per-item function.  It must be picklable (a module-level
+        function or ``functools.partial`` of one); otherwise the call
+        degrades to the sequential path.
     items:
         The work items; consumed eagerly so the task count is known.
     n_jobs:
         Worker count request, resolved by :func:`effective_jobs`.
-    prefer:
-        ``"threads"`` (default) or ``"processes"``.  Processes fall
-        back to the sequential path if the pool cannot be created or
-        the payload cannot be shipped; the result is identical either
-        way because each item is independent.  Exceptions raised by
-        ``fn`` itself propagate unchanged — a work error is never
-        retried sequentially (it would run the work twice and mask
-        the real failure as a perf degradation).
+
+    The sequential path also takes over if the pool cannot be created
+    or the payload cannot be shipped; the result is identical either
+    way because each item is independent.  Exceptions raised by ``fn``
+    itself propagate unchanged — a work error is never retried
+    sequentially (it would run the work twice and mask the real
+    failure as a perf degradation).
     """
-    if prefer not in ("threads", "processes"):
-        raise InvalidParameterError(
-            f"unknown executor preference: {prefer!r}"
-        )
     work = list(items)
     jobs = effective_jobs(n_jobs, len(work))
     if jobs <= 1:
         return _sequential_map(fn, work)
-    if prefer == "processes":
-        # Pre-flight the function's picklability here in the main
-        # thread, where the exception type is unambiguous.  A worker
-        # can legitimately raise AttributeError or TypeError *from the
-        # work itself*; catching those around ``pool.map`` would mask
-        # a work error as a perf degradation and re-run the work — the
-        # exact silent failure this module exists to prevent.
-        try:
-            pickle.dumps(fn)
-        except _UNPICKLABLE_CALLABLE as exc:
-            _degrade_to_sequential(exc)
-            return _sequential_map(fn, work)
-        try:
-            return shared_pool(jobs).map(fn, work)
-        except _POOL_FAILURES as exc:
-            # Pools are an optimization, never a requirement: when the
-            # pool *infrastructure* fails (an unshippable work item,
-            # missing fork/semaphores, dying workers) the equivalent
-            # sequential computation takes over.  Inputs are re-used
-            # untouched — process workers only ever saw copies.  A
-            # broken shared pool has already been discarded by
-            # WorkerPool.map, so the *next* call gets fresh workers.
-            _degrade_to_sequential(exc)
-            return _sequential_map(fn, work)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, work))
+    # Pre-flight the function's picklability here in the main thread,
+    # where the exception type is unambiguous.  A worker can
+    # legitimately raise AttributeError or TypeError *from the work
+    # itself*; catching those around ``pool.map`` would mask a work
+    # error as a perf degradation and re-run the work — the exact
+    # silent failure this module exists to prevent.
+    try:
+        pickle.dumps(fn)
+    except _UNPICKLABLE_CALLABLE as exc:
+        _degrade_to_sequential(exc)
+        return _sequential_map(fn, work)
+    try:
+        return shared_pool(jobs).map(fn, work)
+    except _POOL_FAILURES as exc:
+        # Pools are an optimization, never a requirement: when the
+        # pool *infrastructure* fails (an unshippable work item,
+        # missing fork/semaphores, dying workers) the equivalent
+        # sequential computation takes over.  Inputs are re-used
+        # untouched — process workers only ever saw copies.  A broken
+        # shared pool has already been discarded by WorkerPool.map, so
+        # the *next* call gets fresh workers.
+        _degrade_to_sequential(exc)
+        return _sequential_map(fn, work)

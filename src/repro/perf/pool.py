@@ -1,11 +1,11 @@
 """Persistent process pools: warm workers amortized across calls.
 
-Every ``parallel_map(prefer="processes")`` call used to stand up a
-fresh :class:`~concurrent.futures.ProcessPoolExecutor`, fork its
-workers, run one batch of tasks and tear the whole thing down again.
-For corpus-scale work — a forest fit per CV fold, a sweep over
-thousands of files — the pool startup (fork + pipe setup, ~50–100ms on
-this container) and the per-task payload pickling dominate the useful
+Every process fan-out used to stand up a fresh
+:class:`~concurrent.futures.ProcessPoolExecutor`, fork its workers,
+run one batch of tasks and tear the whole thing down again.  For
+corpus-scale work — a forest fit per CV fold, a sweep over thousands
+of files — the pool startup (fork + pipe setup, ~50–100ms on a
+2-vCPU Linux VM) and the per-task payload pickling dominate the useful
 work.  A :class:`WorkerPool` keeps its executor alive between calls so
 the fork cost is paid once per process lifetime, and its
 ``initializer`` hook ships one-time state (a fitted model's compiled

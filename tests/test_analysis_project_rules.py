@@ -323,7 +323,7 @@ class TestR105LockDiscipline:
 
     def test_lock_safe_helper_is_clean(self):
         # A private helper whose every call site holds the lock may
-        # mutate without re-acquiring (the FeatureCache._admit shape).
+        # mutate without re-acquiring.
         findings = self.run(
             "    def add(self, x):\n"
             "        with self._lock:\n"

@@ -12,7 +12,6 @@ aborts a sweep.
 from __future__ import annotations
 
 import os
-import pickle
 import subprocess
 import sys
 import textwrap
@@ -168,18 +167,6 @@ def test_policy_fingerprint_distinguishes_policies():
     assert policy_fingerprint(IngestPolicy()) != policy_fingerprint(
         IngestPolicy(strict=True)
     )
-
-
-def test_broadcast_payload_drops_feature_cache(fitted_pipeline):
-    from repro.perf.cache import FeatureCache
-
-    fitted_pipeline.set_feature_cache(FeatureCache(max_entries=4))
-    try:
-        clone = pickle.loads(pickle.dumps(fitted_pipeline))
-    finally:
-        fitted_pipeline.set_feature_cache(None)
-    assert clone.line_classifier._feature_cache is None
-    assert clone.cell_classifier._feature_cache is None
 
 
 # ----------------------------------------------------------------------

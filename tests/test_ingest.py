@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.core.line_features import LineFeatureExtractor
-from repro.core.profile import table_profile
 from repro.dialect.dialect import Dialect
 from repro.errors import (
     EncodingError,
@@ -271,10 +270,6 @@ class TestBomFeatureRegression:
         with_bom = ingest_bytes(codecs.BOM_UTF8 + PLAIN.encode("utf-8"))
         without = ingest_bytes(PLAIN.encode("utf-8"))
         assert with_bom.table == without.table
-        assert (
-            table_profile(with_bom.table).content_hash
-            == table_profile(without.table).content_hash
-        )
 
     def test_line_features_byte_identical(self):
         extractor = LineFeatureExtractor()

@@ -77,46 +77,6 @@ class TestForestPersistence:
             per_tree_predict_proba(forest, X).tobytes()
         )
 
-    def test_version_1_bundle_still_loads(self, tmp_path, training_data):
-        # Hand-write the old per-tree array layout with a version-1
-        # manifest: it must load and predict identically, compiling
-        # lazily on first predict.
-        X, y = training_data
-        forest = RandomForestClassifier(
-            n_estimators=3, random_state=0
-        ).fit(X, y)
-        directory = tmp_path / "legacy"
-        directory.mkdir()
-        arrays = {"classes": forest.classes_}
-        for index, tree in enumerate(forest.estimators_):
-            prefix = f"tree{index}_"
-            arrays[f"{prefix}feature"] = tree._feature
-            arrays[f"{prefix}threshold"] = tree._threshold
-            arrays[f"{prefix}left"] = tree._left
-            arrays[f"{prefix}right"] = tree._right
-            arrays[f"{prefix}proba"] = tree._proba
-            arrays[f"{prefix}classes"] = tree.classes_
-        np.savez_compressed(directory / "arrays.npz", **arrays)
-        manifest = {
-            "format_version": 1,
-            "kind": "random_forest",
-            "n_estimators": 3,
-            "n_features": forest.n_features_,
-            "params": {
-                "max_depth": None,
-                "min_samples_split": 2,
-                "min_samples_leaf": 1,
-                "max_features": "sqrt",
-                "bootstrap": True,
-            },
-        }
-        (directory / "manifest.json").write_text(json.dumps(manifest))
-        restored = load_forest(directory)
-        assert restored._compiled is None  # compiles on first predict
-        assert restored.predict_proba(X).tobytes() == (
-            forest.predict_proba(X).tobytes()
-        )
-
     def test_version_2_missing_array_rejected(
         self, tmp_path, training_data
     ):
@@ -163,6 +123,8 @@ class TestForestPersistence:
             load_line_classifier(tmp_path / "model")
 
     def test_bad_version_rejected(self, tmp_path, training_data):
+        # Only the current format loads: the retired per-tree layout
+        # (version 1) is rejected like any unknown version.
         X, y = training_data
         forest = RandomForestClassifier(
             n_estimators=2, random_state=0
@@ -170,10 +132,11 @@ class TestForestPersistence:
         save_forest(forest, tmp_path / "model")
         manifest_path = tmp_path / "model" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 999
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(PersistenceError):
-            load_forest(tmp_path / "model")
+        for version in (1, 999):
+            manifest["format_version"] = version
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(PersistenceError, match="unsupported"):
+                load_forest(tmp_path / "model")
 
 
 class TestStrudelPersistence:

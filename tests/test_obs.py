@@ -99,16 +99,6 @@ def test_span_closes_even_when_body_raises():
     assert tracer.spans[1].parent is None
 
 
-def test_durations_reads_first_occurrence_in_given_order():
-    tracer = Tracer()
-    _run_fixture_spans(tracer)
-    _run_fixture_spans(tracer)  # second run appends spans 5..9
-    first_run = tracer.durations(("parsing", "line_features"))
-    assert list(first_run) == ["parsing", "line_features"]
-    second_run = tracer.durations(("parsing",), start_index=5)
-    assert second_run["parsing"] == tracer.spans[6].duration
-
-
 def test_activate_scopes_and_restores_the_active_tracer():
     assert get_tracer() is NULL_TRACER
     tracer = Tracer()
@@ -328,11 +318,9 @@ def test_ingest_publishes_repair_metrics(tiny_corpus):
 def test_cross_validation_records_fold_metrics(tiny_corpus):
     from repro.core.strudel import StrudelLineClassifier
     from repro.eval.runner import cross_validate_lines
-    from repro.perf.cache import FeatureCache
 
     metrics = get_metrics()
     folds_before = metrics.counter("cv.folds")
-    attached_before = metrics.counter("cv.feature_cache_attached")
     tracer = Tracer()
     with activate(tracer):
         cross_validate_lines(
@@ -341,13 +329,8 @@ def test_cross_validation_records_fold_metrics(tiny_corpus):
                 n_estimators=4, random_state=0
             ),
             n_splits=3, n_repeats=1, seed=0,
-            feature_cache=FeatureCache(max_entries=64),
         )
     assert metrics.counter("cv.folds") == folds_before + 3
-    assert (
-        metrics.counter("cv.feature_cache_attached")
-        == attached_before + 3
-    )
     names = [span.name for span in tracer.spans]
     assert names.count("cross_validate") == 1
     assert names.count("cv_fold") == 3

@@ -597,12 +597,6 @@ class TestProfileMemoization:
         relaxed = profile.derived_cells(DerivedDetector(delta=5.0))
         assert default is not relaxed
 
-    def test_content_hash_matches_cache_helper(self):
-        from repro.perf.cache import table_content_hash
-
-        table = Table([["a", "1"], ["", "x"]])
-        assert table_profile(table).content_hash == table_content_hash(table)
-
     def test_materialize_returns_self(self):
         table = Table([["a", "1"]])
         profile = table_profile(table)
