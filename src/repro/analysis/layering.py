@@ -58,8 +58,8 @@ NODE_BY_PREFIX: dict[str, str] = {
     # The corpus engine drives whole sweeps through the fitted
     # pipeline, so unlike the rest of ``repro.perf`` it must sit
     # *above* ``core`` and ``io`` — it is its own node, importable by
-    # eval/serve/app, while ``perf.pool``/``perf.parallel`` stay in
-    # the low ``perf`` node that ``core`` never imports.
+    # eval/serve/app, while ``perf.pool`` stays in the low ``perf``
+    # node that ``core`` never imports.
     "repro.perf.engine": "perf.engine",
     "repro.perf": "perf",
     # The columnar TableProfile is declared explicitly: it sits at the

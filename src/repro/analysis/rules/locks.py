@@ -28,9 +28,9 @@ under ``with _LOCK:`` somewhere has declared that global shared
 state, and every other mutation of it — from any function or method
 in the module — must hold the lock or live in a lock-safe
 underscore-named top-level helper.  There is no ``__init__``
-exemption at module level: a registry like ``pool._LIVE_POOLS`` is
-visible to every thread from import time, so even a constructor's
-``.add`` must lock.  Module import itself (the top-level assignments
+exemption at module level: a memo like ``detector._MEMO`` is visible
+to every thread from import time, so even an ``__init__`` that
+touches it must lock.  Module import itself (the top-level assignments
 that create the state) is naturally exempt — only function bodies are
 scanned.  A function that binds the same name as a plain local (no
 ``global`` declaration) shadows the global, and its mutations are

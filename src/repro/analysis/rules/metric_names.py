@@ -10,15 +10,11 @@ each ``.increment`` / ``.gauge`` / ``.observe`` / ``.time`` call's
 and a ``metrics = get_metrics()`` local both count, while
 ``time.time()`` never does) and checks the name argument:
 
-* a string literal must appear in ``METRIC_NAMES`` *exactly* —
-  wildcard entries never cover literals, because a literal is fully
-  known statically and letting ``cache.*`` absorb a typo'd
-  ``cache.hitz`` would defeat the check;
-* an f-string is allowed when a wildcard entry (``"cache.*"``) covers
-  its literal prefix — a family of dynamic names such as per-corpus
-  gauges;
-* anything else (a variable, an unprefixed f-string) is a finding:
-  the registry cannot vouch for a name it cannot see.
+* a string literal must appear in ``METRIC_NAMES`` *exactly*;
+* anything else (a variable, an f-string) is a finding: the registry
+  cannot vouch for a name it cannot see.  There are no wildcard
+  families — a name built at run time would let a typo'd suffix
+  through.
 
 The module that declares ``METRIC_NAMES`` is exempt (the ``Metrics``
 class forwards names through its own helpers), and the rule stands
@@ -38,13 +34,6 @@ from repro.analysis.rules.spans import _declared_tuple, _string_elements
 _DECLARATION = "METRIC_NAMES"
 _METRICS_CLASS = "Metrics"
 _RECORDING_METHODS = frozenset({"increment", "gauge", "observe", "time"})
-
-
-def _wildcard_match(name: str, registry: frozenset[str]) -> bool:
-    for entry in sorted(registry):
-        if entry.endswith(".*") and name.startswith(entry[:-1]):
-            return True
-    return False
 
 
 @register
@@ -115,9 +104,6 @@ class MetricNameRule(ProjectRule):
         if isinstance(name_node, ast.Constant) and isinstance(
             name_node.value, str
         ):
-            # Literals must match exactly; wildcard entries are for
-            # dynamic names only (a wildcard absorbing a typo'd
-            # literal would defeat the check).
             if name_node.value in registry:
                 return
             yield self.project_finding(
@@ -127,24 +113,9 @@ class MetricNameRule(ProjectRule):
                 "spelling",
             )
             return
-        if isinstance(name_node, ast.JoinedStr):
-            values = name_node.values
-            if (
-                values
-                and isinstance(values[0], ast.Constant)
-                and isinstance(values[0].value, str)
-                and _wildcard_match(values[0].value, registry)
-            ):
-                return
-            yield self.project_finding(
-                path, call.lineno, call.col_offset,
-                "dynamic metric name has no wildcard entry in "
-                f"{_DECLARATION} covering its literal prefix",
-            )
-            return
         yield self.project_finding(
             path, call.lineno, call.col_offset,
             "metric name must be a string literal from "
-            f"{_DECLARATION} (or an f-string under a declared "
-            "wildcard); a variable name cannot be checked",
+            f"{_DECLARATION}; a name built at run time cannot be "
+            "checked",
         )

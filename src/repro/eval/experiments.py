@@ -32,7 +32,6 @@ from repro.core.strudel import (
     LineToCellBaseline,
     StrudelCellClassifier,
     StrudelLineClassifier,
-    StrudelPipeline,
 )
 from repro.datagen.corpora import make_corpus
 from repro.io.annotations import load_corpus
@@ -174,13 +173,6 @@ class ExperimentConfig:
         return RNNCellClassifier(
             epochs=self.rnn_epochs, random_state=self.seed
         )
-
-    def strudel_pipeline(self, **kwargs) -> StrudelPipeline:
-        """A config-sized end-to-end Strudel pipeline."""
-        kwargs.setdefault("n_estimators", self.n_estimators)
-        kwargs.setdefault("random_state", self.seed)
-        kwargs.setdefault("n_jobs", self.n_jobs)
-        return StrudelPipeline(**kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,12 @@ keeps fitting memory-flat for wide cell-feature matrices.
 Tree fitting is embarrassingly parallel: every tree draws its
 bootstrap and its feature subsamples from an independent child stream
 derived up front via :func:`repro.util.rng.spawn`, so ``n_jobs > 1``
-fans the fit out over a pool while producing byte-identical trees,
-predictions and importances — the streams, the per-tree work, and the
-order in which results are folded back (tree index order) are all
-independent of the schedule.
+fans the fit out over a worker pool while producing byte-identical
+trees, predictions and importances — the streams, the per-tree work,
+and the order in which results are folded back (tree index order) are
+all independent of the schedule.  The pool lives for one fit
+(:func:`repro.perf.pool.parallel_map`): its workers are joined before
+``fit`` returns, so a fitted forest leaves no process behind.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.errors import InvalidParameterError
 from repro.ml.base import check_fitted, check_X_y
 from repro.ml.compiled import CompiledForest
 from repro.ml.tree import DecisionTreeClassifier
-from repro.perf.parallel import effective_jobs, parallel_map
+from repro.perf.pool import effective_jobs, parallel_map
 from repro.util.rng import as_generator, spawn
 
 

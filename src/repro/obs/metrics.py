@@ -23,10 +23,9 @@ from typing import Iterator
 
 #: Every metric name the pipeline may emit.  The metric-name lint
 #: (R104) requires each ``increment``/``gauge``/``observe``/``time``
-#: call site outside this module to use a literal from this tuple; a
-#: trailing ``.*`` entry would declare a wildcard family for dynamic
-#: names built from a literal prefix (none is declared today).  Keep
-#: this list in sync with the glossary in ``docs/observability.md``.
+#: call site outside this module to use a literal from this tuple;
+#: names built at run time are findings.  Keep this list in sync with
+#: the glossary in ``docs/observability.md``.
 METRIC_NAMES: tuple[str, ...] = (
     "compiled_forest.compiles",
     "compiled_forest.nodes",

@@ -10,9 +10,8 @@ three amortization failures:
 * **warm workers** — one private :class:`~repro.perf.pool.WorkerPool`
   per engine, kept alive across :meth:`CorpusEngine.sweep` calls;
 * **one-time model broadcast** — the fitted pipeline is pickled once
-  (feature caches detached — they are process-local) into the pool
-  initializer, so each worker deserializes the compiled forest tensors
-  exactly once at spawn instead of once per task;
+  into the pool initializer, so each worker deserializes the compiled
+  forest tensors exactly once at spawn instead of once per task;
 * **content-addressed sweep cache** — results are stored on disk keyed
   by ``(file content hash, model fingerprint, ingest policy)``, so
   re-sweeping an unchanged corpus never reaches a worker at all.
@@ -62,8 +61,7 @@ from repro.errors import AdapterError, InvalidParameterError, NotFittedError
 from repro.io.adapters import FileAdapter
 from repro.io.ingest import IngestPolicy
 from repro.obs import get_metrics, get_tracer
-from repro.perf.parallel import effective_jobs
-from repro.perf.pool import WorkerPool
+from repro.perf.pool import WorkerPool, effective_jobs
 from repro.types import CONTENT_CLASSES, CellClass
 
 #: Integer codes for every cell class, *including* the ``EMPTY``
@@ -523,7 +521,7 @@ class CorpusEngine:
         A **fitted** :class:`~repro.core.strudel.StrudelPipeline`;
         fingerprinted at construction, broadcast to workers once.
     n_jobs:
-        Worker processes (:func:`~repro.perf.parallel.effective_jobs`
+        Worker processes (:func:`~repro.perf.pool.effective_jobs`
         semantics: ``None``/``1`` sequential, ``<=0`` all cores).  The
         worker pool is sized from it once and persists across sweeps;
         results are byte-identical for any value.
@@ -536,8 +534,8 @@ class CorpusEngine:
         Defaults to ``2 * workers``.
 
     Use as a context manager (or call :meth:`close`) to release the
-    warm workers deterministically; an engine left open is reaped at
-    interpreter exit.
+    warm workers deterministically; an engine left open has its
+    workers joined at interpreter exit by ``concurrent.futures``.
     """
 
     def __init__(

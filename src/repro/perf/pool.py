@@ -1,21 +1,26 @@
-"""Persistent process pools: warm workers amortized across calls.
+"""Process pools: deterministic fan-out over warm or scoped workers.
 
-Every process fan-out used to stand up a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor`, fork its workers,
-run one batch of tasks and tear the whole thing down again.  For
-corpus-scale work — a forest fit per CV fold, a sweep over thousands
-of files — the pool startup (fork + pipe setup, ~50–100ms on a
-2-vCPU Linux VM) and the per-task payload pickling dominate the useful
-work.  A :class:`WorkerPool` keeps its executor alive between calls so
-the fork cost is paid once per process lifetime, and its
-``initializer`` hook ships one-time state (a fitted model's compiled
-tensors) to each worker at spawn instead of pickling it into every
-task.
+The rule for every parallel path in this repository: parallelism may
+change *when* work happens, never *what* it computes.  Two pieces
+guarantee that by construction:
 
-Determinism contract (inherited from :mod:`repro.perf.parallel`):
-
-* :meth:`WorkerPool.map` submits in input order and collects back into
+* :class:`WorkerPool` submits in input order and collects back into
   input order, so results are identical to the sequential path;
+* no helper draws randomness — callers pre-derive one independent
+  seeded stream per item (see :func:`repro.util.rng.spawn`), so the
+  schedule cannot leak into the numbers.
+
+A :class:`WorkerPool` keeps its executor alive between calls, so the
+fork cost is paid once per pool, not once per call, and its
+``initializer`` hook ships one-time state (a fitted model's
+compiled tensors) to each worker at spawn instead of pickling it into
+every task.  The corpus engine (:mod:`repro.perf.engine`) owns the
+only long-lived pool in any process.  :func:`parallel_map` — the
+random forest's fit — opens a pool for one call and closes it before
+returning, so a fit's workers exist only while it fits.
+
+Pool contract:
+
 * an exception raised by the work function propagates unchanged and
   the work is never re-run;
 * a broken pool (workers killed from outside) raises
@@ -27,38 +32,36 @@ Lifecycle events are published as metrics (``worker_pool.spawns`` /
 ``worker_pool.reuses`` / ``worker_pool.broken``) so a deployment can
 see whether its pools are actually warm — a spawn count tracking the
 call count means the amortization is not happening.
-
-One module-level **shared pool** serves every anonymous
-``parallel_map`` fan-out in the process; engines that need a worker
-initializer (:mod:`repro.perf.engine`) own private pools.  All pools
-register with :func:`shutdown_all_pools`, which runs at interpreter
-exit so no forked worker outlives its parent.
 """
 
 from __future__ import annotations
 
-import atexit
+import os
+import pickle
 import threading
-import weakref
-from concurrent.futures import Future, ProcessPoolExecutor
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import InvalidParameterError
 from repro.obs import get_metrics
 
+#: Failures of the pool machinery (never of the work function): the
+#: payload cannot be shipped, the pool cannot be created in this
+#: environment, or its workers died out from under it.
+_POOL_FAILURES = (pickle.PicklingError, BrokenProcessPool, OSError)
+
+#: What ``pickle.dumps`` raises for a callable that cannot be shipped
+#: to a worker process: PicklingError for a module-attribute mismatch,
+#: AttributeError for a local function/lambda/closure, TypeError for
+#: objects whose reduction is forbidden outright.  Checked *before*
+#: the pool exists, in the main thread, so these types can never be
+#: confused with an exception the work function raised in a worker.
+_UNPICKLABLE_CALLABLE = (pickle.PicklingError, AttributeError, TypeError)
+
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Every live WorkerPool, so interpreter exit can reap their workers.
-#: Weak references: a pool dropped by its owner must be collectable —
-#: its executor's own finalizer handles the workers.  Guarded by
-#: ``_REGISTRY_LOCK``: registration races the atexit sweep, and a
-#: WeakSet mutating mid-iteration (a pool garbage-collected while
-#: :func:`shutdown_all_pools` walks it) raises ``RuntimeError`` at the
-#: worst possible moment — interpreter teardown.
-_REGISTRY_LOCK = threading.Lock()
-_LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
 
 
 class WorkerPool:
@@ -92,8 +95,6 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
         self._metrics = get_metrics()
-        with _REGISTRY_LOCK:
-            _LIVE_POOLS.add(self)
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
@@ -107,15 +108,6 @@ class WorkerPool:
         executor = self.executor()
         try:
             return list(executor.map(fn, items))
-        except BrokenProcessPool:
-            self.discard(executor)
-            raise
-
-    def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
-        """Submit one call; same recovery semantics as :meth:`map`."""
-        executor = self.executor()
-        try:
-            return executor.submit(fn, *args)
         except BrokenProcessPool:
             self.discard(executor)
             raise
@@ -171,64 +163,98 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-# The process-wide shared pool behind ``parallel_map``.
+# Worker counts and the one-call fan-out behind the forest's fit.
+# ----------------------------------------------------------------------
+def effective_jobs(n_jobs: int | None, n_tasks: int) -> int:
+    """Resolve an ``n_jobs`` request into a concrete worker count.
 
-_SHARED_LOCK = threading.Lock()
-_SHARED_POOL: WorkerPool | None = None
-
-
-def shared_pool(max_workers: int) -> WorkerPool:
-    """The process-wide pool, grown to at least ``max_workers``.
-
-    A request larger than the current pool replaces it (the old
-    workers are released without waiting); a smaller request reuses
-    the existing, bigger pool — ordered collection makes the result
-    independent of the worker count, and idle workers cost only
-    memory.
+    ``None`` and ``1`` mean sequential; ``0`` or a negative value mean
+    "all available cores"; any other value is clamped to the number of
+    tasks so no worker sits idle by construction.
     """
-    global _SHARED_POOL
-    with _SHARED_LOCK:
-        pool = _SHARED_POOL
-        if pool is None or pool.max_workers < max_workers:
-            if pool is not None:
-                pool.shutdown(wait=False)
-            pool = WorkerPool(max_workers)
-            _SHARED_POOL = pool
-        return pool
+    if n_tasks <= 1:
+        return 1
+    if n_jobs is None:
+        return 1
+    if n_jobs <= 0:
+        n_jobs = os.cpu_count() or 1
+    return max(1, min(n_jobs, n_tasks))
 
 
-def shutdown_shared_pool() -> None:
-    """Tear down the shared pool (tests; the next use respawns it)."""
-    global _SHARED_POOL
-    with _SHARED_LOCK:
-        pool = _SHARED_POOL
-        _SHARED_POOL = None
-    if pool is not None:
-        pool.shutdown()
+def _sequential_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    return [fn(item) for item in items]
 
 
-def shutdown_all_pools() -> None:
-    """Stop every live pool's workers (registered with ``atexit``).
+def _degrade_to_sequential(exc: BaseException) -> None:
+    """Record a pool degradation loudly: metric plus RuntimeWarning.
 
-    Runs at interpreter exit, where nothing can be assumed healthy: a
-    pool whose workers already crashed, an executor half-finalized by
-    its own atexit hook, a WeakSet entry dying mid-sweep.  The
-    registry is snapshotted under its lock and every shutdown failure
-    is tolerated — a dead executor is exactly the outcome we wanted,
-    and an exception escaping an atexit callback prints a spurious
-    traceback over an otherwise clean exit.
+    Heavy-traffic deployments must be able to see when their
+    parallelism silently became 1x; a counter alone is not enough for
+    interactive runs, a warning alone is not enough for dashboards.
     """
+    get_metrics().increment("parallel.pool_degraded")
+    warnings.warn(
+        f"process pool unavailable, degrading to sequential "
+        f"execution: {type(exc).__name__}: {exc}",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
+def parallel_map(
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    n_jobs: int | None = 1,
+) -> list[R]:
+    """Apply ``fn`` to every item in worker processes, preserving
+    input order in the output.
+
+    Parameters
+    ----------
+    fn:
+        The per-item function.  It must be picklable (a module-level
+        function or ``functools.partial`` of one); otherwise the call
+        degrades to the sequential path.
+    items:
+        The work items; consumed eagerly so the task count is known.
+    n_jobs:
+        Worker count request, resolved by :func:`effective_jobs`.
+
+    The workers live for this call only: the pool is opened here and
+    shut down, its workers joined, before the call returns.  The
+    sequential path takes over if the pool cannot be created or the
+    payload cannot be shipped — a missing ``fork``, a sandbox without
+    ``sem_open``, a worker killed from outside — and the result is
+    identical either way because each item is independent.  That
+    degradation is recorded (a ``parallel.pool_degraded`` metric plus
+    a ``RuntimeWarning``).  Exceptions raised by ``fn`` itself
+    propagate unchanged — a work error is never retried sequentially
+    (it would run the work twice and mask the real failure as a perf
+    degradation).
+    """
+    work = list(items)
+    jobs = effective_jobs(n_jobs, len(work))
+    if jobs <= 1:
+        return _sequential_map(fn, work)
+    # Pre-flight the function's picklability here in the main thread,
+    # where the exception type is unambiguous.  A worker can
+    # legitimately raise AttributeError or TypeError *from the work
+    # itself*; catching those around ``pool.map`` would mask a work
+    # error as a perf degradation and re-run the work — the exact
+    # silent failure this function exists to prevent.
     try:
-        shutdown_shared_pool()
-    except Exception:
-        pass
-    with _REGISTRY_LOCK:
-        pools = list(_LIVE_POOLS)
-    for pool in pools:
-        try:
-            pool.shutdown(wait=False)
-        except Exception:
-            continue
-
-
-atexit.register(shutdown_all_pools)
+        pickle.dumps(fn)
+    except _UNPICKLABLE_CALLABLE as exc:
+        _degrade_to_sequential(exc)
+        return _sequential_map(fn, work)
+    try:
+        with WorkerPool(jobs) as pool:
+            return pool.map(fn, work)
+    except _POOL_FAILURES as exc:
+        # Pools are an optimization, never a requirement: when the
+        # pool *infrastructure* fails (an unshippable work item,
+        # missing fork/semaphores, dying workers) the equivalent
+        # sequential computation takes over.  Inputs are re-used
+        # untouched — process workers only ever saw copies.
+        _degrade_to_sequential(exc)
+        return _sequential_map(fn, work)

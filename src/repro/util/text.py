@@ -29,8 +29,3 @@ def count_words(text: str) -> int:
 def is_alphanumeric_word(token: str) -> bool:
     """Whether ``token`` is a single alphanumeric word."""
     return bool(token) and _WORD_PATTERN.fullmatch(token) is not None
-
-
-def normalize_keyword(text: str) -> str:
-    """Canonical form used for keyword-dictionary lookups."""
-    return text.strip().lower()

@@ -26,6 +26,7 @@ from repro.core.strudel import StrudelPipeline
 from repro.errors import InvalidParameterError, NotFittedError
 from repro.io.ingest import IngestPolicy
 from repro.io.writer import write_csv_text
+from repro.ml.forest import RandomForestClassifier
 from repro.obs import get_metrics
 from repro.perf.engine import (
     CorpusEngine,
@@ -34,11 +35,7 @@ from repro.perf.engine import (
     model_fingerprint,
     policy_fingerprint,
 )
-from repro.perf.pool import (
-    WorkerPool,
-    shared_pool,
-    shutdown_shared_pool,
-)
+from repro.perf.pool import WorkerPool
 
 
 # ----------------------------------------------------------------------
@@ -112,9 +109,8 @@ def test_worker_pool_spawns_once_and_reuses():
     with WorkerPool(2) as pool:
         assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
         assert pool.map(_double, [4, 5]) == [8, 10]
-        assert pool.submit(_double, 7).result() == 14
     assert metrics.counter("worker_pool.spawns") == spawns + 1
-    assert metrics.counter("worker_pool.reuses") == reuses + 2
+    assert metrics.counter("worker_pool.reuses") == reuses + 1
 
 
 def test_worker_pool_discard_broken_respawns():
@@ -130,18 +126,6 @@ def test_worker_pool_discard_broken_respawns():
         # The next call transparently respawns the workers.
         assert pool.map(_double, [21]) == [42]
         assert metrics.counter("worker_pool.spawns") == spawns + 1
-
-
-def test_shared_pool_reuses_and_grows():
-    shutdown_shared_pool()
-    try:
-        small = shared_pool(1)
-        assert shared_pool(1) is small
-        grown = shared_pool(2)
-        assert grown.max_workers >= 2
-        assert shared_pool(1) is grown  # a bigger pool serves smaller asks
-    finally:
-        shutdown_shared_pool()
 
 
 # ----------------------------------------------------------------------
@@ -477,23 +461,24 @@ def test_abandoned_sweep_iterator_releases_the_window(
 
 
 def test_atexit_teardown_tolerates_dead_executors():
-    """Interpreter exit with a live-but-broken pool: the atexit sweep
-    must swallow the wreckage and exit 0 with a quiet stderr, not
-    race the registry or re-raise out of ``shutdown_all_pools``."""
+    """Interpreter exit with two pools left open, one whose workers
+    were killed and one whose workers are alive: ``concurrent.futures``'
+    own exit hook must exit 0 with a quiet stderr and join the live
+    workers, so none outlives its parent."""
     script = textwrap.dedent(
         """
-        from repro.perf.pool import WorkerPool, shared_pool
+        from repro.perf.pool import WorkerPool
 
-        pool = WorkerPool(1)
-        assert pool.map(abs, [-3]) == [3]
-        shared = shared_pool(1)
-        assert shared.map(abs, [-5]) == [5]
-        # Kill the workers behind the registry's back, then exit
-        # without shutting anything down: atexit owns the cleanup.
-        for owner in (pool, shared):
-            for proc in list(owner._executor._processes.values()):
-                proc.kill()
-                proc.join()
+        dead = WorkerPool(1)
+        assert dead.map(abs, [-3]) == [3]
+        live = WorkerPool(2)
+        assert live.map(abs, [-5, -6]) == [5, 6]
+        # Kill one pool's workers behind its back, then exit without
+        # shutting either pool down.
+        for proc in list(dead._executor._processes.values()):
+            proc.kill()
+            proc.join()
+        print(*live._executor._processes)
         """
     )
     env = dict(os.environ)
@@ -506,6 +491,11 @@ def test_atexit_teardown_tolerates_dead_executors():
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    live_pids = [int(pid) for pid in proc.stdout.split()]
+    assert live_pids
+    for pid in live_pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 # ----------------------------------------------------------------------
@@ -673,3 +663,42 @@ def test_engine_pool_persists_across_sweeps(
         engine.sweep_paths(corpus_dir[:2])
         assert metrics.counter("worker_pool.spawns") == spawns
     assert engine._pool is None  # close() released the workers
+
+
+def _child_pids() -> set[int]:
+    """PIDs of this process's children, read from ``/proc``."""
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # After the parenthesised command name: state, then ppid.
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue  # the process exited while we looked
+        if int(fields[1]) == os.getpid():
+            children.add(int(stat.parent.name))
+    return children
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads /proc"
+)
+def test_only_a_running_engine_holds_workers(fitted_pipeline, corpus_dir):
+    """One pool per process: a forest fit's workers end with the fit,
+    and a pooled sweep runs on exactly the engine's workers.  Child
+    PIDs are compared against a baseline, so pools other tests left
+    open do not count."""
+    metrics = get_metrics()
+    before = _child_pids()
+    spawns = metrics.counter("worker_pool.spawns")
+    X = np.arange(40.0).reshape(20, 2)
+    RandomForestClassifier(n_estimators=4, n_jobs=2, random_state=0).fit(
+        X, np.arange(20) % 2
+    )
+    assert metrics.counter("worker_pool.spawns") == spawns + 1
+    assert _child_pids() - before == set()
+    with CorpusEngine(fitted_pipeline, n_jobs=2) as engine:
+        run = iter(engine.sweep(corpus_dir))
+        next(run)
+        assert len(_child_pids() - before) == 2
+        assert len(list(run)) == len(corpus_dir) - 1
+    assert _child_pids() - before == set()

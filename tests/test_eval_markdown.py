@@ -40,5 +40,7 @@ def test_report_contains_every_section():
         "(paper)",
     ):
         assert marker in report, marker
+    # No wall-clock text: the committed file must regenerate exactly.
+    assert "generated in" not in report.lower()
     # Markdown tables render: header separators present.
     assert report.count("|---|") > 10

@@ -22,7 +22,7 @@ from repro.core.strudel import (
 from repro.eval.runner import cross_validate_cells, cross_validate_lines
 from repro.ml.forest import RandomForestClassifier
 from repro.obs import get_metrics
-from repro.perf.parallel import effective_jobs, parallel_map
+from repro.perf.pool import effective_jobs, parallel_map
 
 
 # ----------------------------------------------------------------------
