@@ -164,10 +164,7 @@ class CellFeatureExtractor:
         norm_lengths = lengths / max_length
 
         probabilities = np.asarray(line_probabilities, dtype=np.float64)
-        derived = self.detector.detect(table)
-        derived_mask = np.zeros((n_rows, n_cols), dtype=bool)
-        for i, j in derived:
-            derived_mask[i, j] = True
+        derived_mask = profile.derived_mask(self.detector)
 
         features = np.empty((len(positions), len(CELL_FEATURE_NAMES)))
         # Content features.

@@ -16,6 +16,11 @@ mean dominate — the detector:
    ``d``; if the fraction of matching candidates exceeds the coverage
    threshold ``c``, all candidates are marked derived.
 
+Steps 3–4 are evaluated for a whole walk at once: one cumulative sum
+holds every running sum, and one element-wise test per aggregation
+function marks the steps that match.  ``tests/test_profile_parity.py``
+keeps the step-by-step walk as the reference the scan must equal.
+
 The paper sets ``d = 0.1`` and ``c = 0.5`` and reports insensitivity
 to both; the ablation benchmark sweeps them.
 
@@ -26,6 +31,8 @@ mistakes to unanchored derived lines.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -84,8 +91,10 @@ class DerivedDetector:
         anchor_mode: str = "keyword",
         relative: bool = False,
     ):
-        if delta <= 0:
-            raise InvalidParameterError("delta must be positive")
+        if not (math.isfinite(delta) and delta > 0):
+            raise InvalidParameterError(
+                f"delta must be finite and positive, got {delta!r}"
+            )
         if not 0.0 < coverage <= 1.0:
             raise InvalidParameterError("coverage must be in (0, 1]")
         unknown = set(functions) - set(SUPPORTED_FUNCTIONS)
@@ -104,8 +113,10 @@ class DerivedDetector:
 
     @property
     def cache_key(self) -> str:
-        """Stable description of this configuration for feature-cache
-        keys: any parameter change must invalidate cached matrices."""
+        """Stable description of this configuration.  It keys the
+        table profile's memo of detected cells and, through the line
+        and cell extractors' ``cache_key``, the corpus engine's model
+        fingerprint, so any parameter change must change it."""
         return (
             f"derived(delta={self.delta!r},coverage={self.coverage!r},"
             f"functions={','.join(self.functions)},"
@@ -114,46 +125,41 @@ class DerivedDetector:
 
     # ------------------------------------------------------------------
     def detect(self, table: Table) -> set[tuple[int, int]]:
-        """All detected derived cell positions in ``table``.
+        """All detected derived cell positions in ``table``, as
+        ``(row, col)`` Python ints.
 
-        Delegates to the table's memoized profile, so the line and
-        cell extractors (which run identically-configured detectors
-        over the same table) share one detection pass.  The returned
-        set is shared — treat it as read-only.
+        Read off the table's memoized profile grid
+        (:meth:`~repro.core.profile.TableProfile.derived_mask`), which
+        the line and cell extractors index directly, so all of them
+        share one detection pass.
         """
-        return table_profile(table).derived_cells(self)
+        rows, cols = np.nonzero(table_profile(table).derived_mask(self))
+        return set(zip(rows.tolist(), cols.tolist()))
 
-    def detect_profile(
-        self, profile: TableProfile
-    ) -> set[tuple[int, int]]:
+    def detect_profile(self, profile: TableProfile) -> np.ndarray:
         """The detection pass proper, over pre-computed columnar
-        primitives (called by
-        :meth:`~repro.core.profile.TableProfile.derived_cells`)."""
+        primitives: a boolean grid of the derived cells (called by
+        :meth:`~repro.core.profile.TableProfile.derived_mask`)."""
         grid = profile.numeric_grid
-        anchors = self._anchoring_cells(profile, grid)
-        detected: set[tuple[int, int]] = set()
+        numeric = ~np.isnan(grid)
+        anchors = self._anchoring_cells(profile, numeric)
+        detected = np.zeros(profile.shape, dtype=bool)
         checked_rows: set[int] = set()
         checked_cols: set[int] = set()
         for row, col in anchors:
             if row not in checked_rows:
                 checked_rows.add(row)
                 if self._row_is_derived(grid, row):
-                    detected.update(
-                        (row, j)
-                        for j in np.nonzero(~np.isnan(grid[row]))[0]
-                    )
+                    detected[row] |= numeric[row]
             if col not in checked_cols:
                 checked_cols.add(col)
                 if self._column_is_derived(grid, col):
-                    detected.update(
-                        (int(i), col)
-                        for i in np.nonzero(~np.isnan(grid[:, col]))[0]
-                    )
+                    detected[:, col] |= numeric[:, col]
         return detected
 
     # ------------------------------------------------------------------
     def _anchoring_cells(
-        self, profile: TableProfile, grid: np.ndarray
+        self, profile: TableProfile, numeric: np.ndarray
     ) -> list[tuple[int, int]]:
         if self.anchor_mode == "keyword":
             # Row-major order of the keyword mask matches the original
@@ -166,72 +172,63 @@ class DerivedDetector:
         # Exhaustive mode: one pseudo-anchor per row and per column
         # that contains at least one numeric cell.
         anchors: list[tuple[int, int]] = []
-        rows_with_numbers = np.nonzero((~np.isnan(grid)).any(axis=1))[0]
-        cols_with_numbers = np.nonzero((~np.isnan(grid)).any(axis=0))[0]
+        rows_with_numbers = np.nonzero(numeric.any(axis=1))[0]
+        cols_with_numbers = np.nonzero(numeric.any(axis=0))[0]
         anchors.extend((int(i), 0) for i in rows_with_numbers)
         anchors.extend((0, int(j)) for j in cols_with_numbers)
         return anchors
 
     # ------------------------------------------------------------------
-    def _tolerance(self, candidates: np.ndarray) -> np.ndarray:
-        if self.relative:
-            return self.delta * np.maximum(1.0, np.abs(candidates))
-        return np.full_like(candidates, self.delta)
-
-    def _matches(self, candidates: np.ndarray, aggregate: np.ndarray) -> bool:
-        """Coverage test of candidates against one aggregate vector."""
-        close = np.abs(candidates - aggregate) < self._tolerance(candidates)
-        return bool(close.mean() > self.coverage)
-
     def _scan(self, candidates: np.ndarray, contributions: np.ndarray) -> bool:
-        """Walk away from the candidates accumulating ``contributions``.
+        """Whether any step of a walk away from the candidates matches.
 
         ``contributions`` is an ``(n_steps, n_candidates)`` array whose
         row ``i`` holds the numeric values (NaN as 0) at the candidate
         positions, ``i + 1`` steps away from the candidate line, nearest
-        first — exactly the expansion order of Algorithm 2.
+        first — exactly the expansion order of Algorithm 2.  Row ``i``
+        of each aggregate below is the one the walk compares after its
+        ``i + 1``-th step.
         """
-        if contributions.shape[0] == 0:
+        n_steps = len(contributions)
+        if n_steps == 0:
             return False
-        order_statistics = any(
-            name in self.functions for name in ("min", "max", "median")
-        )
-        running_sum = np.zeros_like(candidates)
-        for step, row in enumerate(contributions, start=1):
-            running_sum = running_sum + row
-            # Never mark candidates matching an all-zero aggregate —
-            # zero sums arise trivially from empty regions.
-            if not np.any(running_sum):
-                continue
-            if "sum" in self.functions and self._matches(
-                candidates, running_sum
-            ):
-                return True
-            if (
-                "mean" in self.functions
-                and step > 1
-                and self._matches(candidates, running_sum / step)
-            ):
-                return True
-            # Order statistics (future-work extension): computed over
-            # the window of the `step` nearest contribution rows.  A
-            # single-row window would trivially match any copy of the
-            # adjacent line, so require at least two rows.
-            if order_statistics and step > 1:
-                window = contributions[:step]
-                if "min" in self.functions and self._matches(
-                    candidates, window.min(axis=0)
-                ):
-                    return True
-                if "max" in self.functions and self._matches(
-                    candidates, window.max(axis=0)
-                ):
-                    return True
-                if "median" in self.functions and self._matches(
-                    candidates, np.median(window, axis=0)
-                ):
-                    return True
-        return False
+        if self.relative:
+            tolerance = self.delta * np.maximum(1.0, np.abs(candidates))
+        else:
+            tolerance = self.delta
+
+        def matching(aggregates: np.ndarray) -> np.ndarray:
+            close = np.abs(candidates - aggregates) < tolerance
+            return close.mean(axis=1) > self.coverage
+
+        # ``add.accumulate`` adds row by row, so each running sum is
+        # the one the walk accumulates, bit for bit (up to the sign of
+        # a zero, which no test below can see).
+        sums = np.cumsum(contributions, axis=0)
+        steps = np.arange(1, n_steps + 1)
+        matched = np.zeros(n_steps, dtype=bool)
+        if "sum" in self.functions:
+            matched |= matching(sums)
+        # The mean and the order statistics (the future-work extension)
+        # need a window of at least two rows: a single-row window would
+        # trivially match any copy of the adjacent line.
+        windowed = np.zeros(n_steps, dtype=bool)
+        if "mean" in self.functions:
+            windowed |= matching(sums / steps[:, None])
+        if "min" in self.functions:
+            windowed |= matching(np.minimum.accumulate(contributions))
+        if "max" in self.functions:
+            windowed |= matching(np.maximum.accumulate(contributions))
+        if "median" in self.functions:
+            windowed |= matching(
+                np.array(
+                    [np.median(contributions[:step], axis=0) for step in steps]
+                )
+            )
+        matched |= windowed & (steps > 1)
+        # Never mark candidates matching an all-zero aggregate — zero
+        # sums arise trivially from empty regions.
+        return bool((matched & sums.any(axis=1)).any())
 
     def _row_is_derived(self, grid: np.ndarray, row: int) -> bool:
         cols = np.nonzero(~np.isnan(grid[row]))[0]

@@ -157,7 +157,7 @@ class LineFeatureExtractor:
         histograms = self._length_histograms(profile)
         features[:, 11] = self._cell_length_difference(histograms, above)
         features[:, 12] = self._cell_length_difference(histograms, below)
-        features[:, 13] = self._derived_coverage(table, profile)
+        features[:, 13] = self._derived_coverage(profile)
 
         if self.include_global_features:
             features[:, 14:] = self._global_features(
@@ -334,14 +334,10 @@ class LineFeatureExtractor:
     # ------------------------------------------------------------------
     # Computational feature
     # ------------------------------------------------------------------
-    def _derived_coverage(
-        self, table: Table, profile: TableProfile
-    ) -> np.ndarray:
+    def _derived_coverage(self, profile: TableProfile) -> np.ndarray:
         """Share of each row's numeric cells detected as derived
         (0.0 for rows without numeric cells)."""
-        derived_mask = np.zeros(profile.shape, dtype=bool)
-        for i, j in self.detector.detect(table):
-            derived_mask[i, j] = True
+        derived_mask = profile.derived_mask(self.detector)
         derived_counts = (derived_mask & profile.numeric_mask).sum(axis=1)
         numeric = profile.row_numeric
         coverage = np.zeros(profile.n_rows)

@@ -61,7 +61,7 @@ _NUMERIC_CODES: tuple[int, int] = (int(DataType.INT), int(DataType.FLOAT))
 
 
 class SupportsDerivedDetection(Protocol):
-    """What :meth:`TableProfile.derived_cells` needs from a detector.
+    """What :meth:`TableProfile.derived_mask` needs from a detector.
 
     Structural typing keeps ``profile`` import-free of
     :mod:`repro.core.derived` (which imports this module in turn).
@@ -73,7 +73,7 @@ class SupportsDerivedDetection(Protocol):
 
     def detect_profile(
         self, profile: "TableProfile"
-    ) -> set[tuple[int, int]]:  # pragma: no cover - protocol
+    ) -> np.ndarray:  # pragma: no cover - protocol
         ...
 
 
@@ -89,10 +89,9 @@ class TableProfile:
         self.table = table
         self.n_rows, self.n_cols = table.shape
         self.shape: tuple[int, int] = table.shape
-        #: Per-detector-configuration memo of derived-cell sets, keyed
-        #: by the detector's ``cache_key``.  The stored sets are shared
-        #: with every caller and must not be mutated.
-        self._derived_memo: dict[str, set[tuple[int, int]]] = {}
+        #: Per-detector-configuration memo of read-only derived-cell
+        #: grids, keyed by the detector's ``cache_key``.
+        self._derived_memo: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Unique-value dispatch
@@ -354,19 +353,20 @@ class TableProfile:
     # ------------------------------------------------------------------
     # Derived-cell detection memo (Algorithm 2)
     # ------------------------------------------------------------------
-    def derived_cells(
+    def derived_mask(
         self, detector: SupportsDerivedDetection
-    ) -> set[tuple[int, int]]:
-        """Detected derived cells, computed once per detector
-        configuration (keyed by ``detector.cache_key``) and shared by
-        the line and cell extractors.  Treat the returned set as
-        read-only."""
+    ) -> np.ndarray:
+        """Read-only boolean grid of the detected derived cells,
+        computed once per detector configuration (keyed by
+        ``detector.cache_key``) and indexed by the line and cell
+        extractors."""
         key = detector.cache_key
-        detected = self._derived_memo.get(key)
-        if detected is None:
-            detected = detector.detect_profile(self)
-            self._derived_memo[key] = detected
-        return detected
+        mask = self._derived_memo.get(key)
+        if mask is None:
+            mask = detector.detect_profile(self)
+            mask.flags.writeable = False
+            self._derived_memo[key] = mask
+        return mask
 
     # ------------------------------------------------------------------
     def materialize(self) -> "TableProfile":

@@ -42,6 +42,11 @@ class TestSumDetection:
         # Data cells are not marked.
         assert (1, 1) not in detected
 
+    def test_detected_positions_are_python_ints(self):
+        detected = DerivedDetector().detect(_sum_table())
+        assert detected == {(3, 1), (3, 2)}
+        assert {type(index) for cell in detected for index in cell} == {int}
+
     def test_detects_downward_sum_row(self):
         table = Table(
             [
@@ -230,6 +235,10 @@ class TestParameters:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             DerivedDetector(delta=0.0)
+        with pytest.raises(InvalidParameterError):
+            DerivedDetector(delta=float("nan"))
+        with pytest.raises(InvalidParameterError):
+            DerivedDetector(delta=float("inf"))
         with pytest.raises(InvalidParameterError):
             DerivedDetector(coverage=0.0)
         with pytest.raises(InvalidParameterError):

@@ -6,9 +6,9 @@ performance change: every consumer must produce *exactly* the output
 of its original per-cell Python implementation.  This module keeps
 those original implementations alive as references — the line feature
 loop, the cell feature loop, the per-cell ``numeric_grid``, the DFS of
-Algorithm 1 and the table-scanning anchor enumeration of Algorithm 2 —
-and pins equality down to the byte level (``ndarray.tobytes()``), not
-just ``allclose``.
+Algorithm 1, and the table-scanning anchor enumeration and step-by-step
+walk of Algorithm 2 — and pins equality down to the byte level
+(``ndarray.tobytes()``), not just ``allclose``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,11 @@ from repro.core.cell_features import (
     CellFeatureExtractor,
 )
 from repro.core.datatypes import infer_data_type, is_numeric_type, parse_number
-from repro.core.derived import DerivedDetector, numeric_grid
+from repro.core.derived import (
+    SUPPORTED_FUNCTIONS,
+    DerivedDetector,
+    numeric_grid,
+)
 from repro.core.keywords import (
     contains_aggregation_keyword,
     line_contains_aggregation_keyword,
@@ -93,10 +97,115 @@ def legacy_block_sizes(table: Table) -> dict[tuple[int, int], int]:
     return sizes
 
 
+def legacy_tolerance(
+    detector: DerivedDetector, candidates: np.ndarray
+) -> np.ndarray:
+    if detector.relative:
+        return detector.delta * np.maximum(1.0, np.abs(candidates))
+    return np.full_like(candidates, detector.delta)
+
+
+def legacy_matches(
+    detector: DerivedDetector, candidates: np.ndarray, aggregate: np.ndarray
+) -> bool:
+    """Coverage test of candidates against one aggregate vector."""
+    close = np.abs(candidates - aggregate) < legacy_tolerance(
+        detector, candidates
+    )
+    return bool(close.mean() > detector.coverage)
+
+
+def legacy_scan(
+    detector: DerivedDetector,
+    candidates: np.ndarray,
+    contributions: np.ndarray,
+) -> bool:
+    """Algorithm 2's step-by-step walk: accumulate one contribution
+    row per step and stop at the first step that matches."""
+    if contributions.shape[0] == 0:
+        return False
+    order_statistics = any(
+        name in detector.functions for name in ("min", "max", "median")
+    )
+    running_sum = np.zeros_like(candidates)
+    for step, row in enumerate(contributions, start=1):
+        running_sum = running_sum + row
+        # Never mark candidates matching an all-zero aggregate —
+        # zero sums arise trivially from empty regions.
+        if not np.any(running_sum):
+            continue
+        if "sum" in detector.functions and legacy_matches(
+            detector, candidates, running_sum
+        ):
+            return True
+        if (
+            "mean" in detector.functions
+            and step > 1
+            and legacy_matches(detector, candidates, running_sum / step)
+        ):
+            return True
+        # Order statistics (future-work extension): computed over
+        # the window of the `step` nearest contribution rows.  A
+        # single-row window would trivially match any copy of the
+        # adjacent line, so require at least two rows.
+        if order_statistics and step > 1:
+            window = contributions[:step]
+            if "min" in detector.functions and legacy_matches(
+                detector, candidates, window.min(axis=0)
+            ):
+                return True
+            if "max" in detector.functions and legacy_matches(
+                detector, candidates, window.max(axis=0)
+            ):
+                return True
+            if "median" in detector.functions and legacy_matches(
+                detector, candidates, np.median(window, axis=0)
+            ):
+                return True
+    return False
+
+
+def legacy_row_is_derived(
+    detector: DerivedDetector, grid: np.ndarray, row: int
+) -> bool:
+    cols = np.nonzero(~np.isnan(grid[row]))[0]
+    if len(cols) == 0:
+        return False
+    candidates = grid[row, cols]
+    n_rows = grid.shape[0]
+    # Upwards: rows row-1, row-2, ... 0 (nearest first).
+    upward = np.nan_to_num(grid[:row, :][::-1][:, cols], nan=0.0)
+    if legacy_scan(detector, candidates, upward):
+        return True
+    # Downwards: rows row+1 ... n-1.
+    downward = np.nan_to_num(grid[row + 1 : n_rows, :][:, cols], nan=0.0)
+    return legacy_scan(detector, candidates, downward)
+
+
+def legacy_column_is_derived(
+    detector: DerivedDetector, grid: np.ndarray, col: int
+) -> bool:
+    rows = np.nonzero(~np.isnan(grid[:, col]))[0]
+    if len(rows) == 0:
+        return False
+    candidates = grid[rows, col]
+    n_cols = grid.shape[1]
+    # Leftwards: columns col-1 ... 0 (nearest first).
+    leftward = np.nan_to_num(
+        grid[:, :col][:, ::-1][rows, :].T, nan=0.0
+    )
+    if legacy_scan(detector, candidates, leftward):
+        return True
+    # Rightwards: columns col+1 ... n-1.
+    rightward = np.nan_to_num(
+        grid[:, col + 1 : n_cols][rows, :].T, nan=0.0
+    )
+    return legacy_scan(detector, candidates, rightward)
+
+
 def legacy_detect(detector: DerivedDetector, table: Table) -> set:
-    """The pre-profile ``DerivedDetector.detect``: per-cell grid and a
-    table-scanning anchor enumeration, feeding the (unchanged) scan
-    internals."""
+    """The pre-profile ``DerivedDetector.detect``: per-cell grid, a
+    table-scanning anchor enumeration and the step-by-step walk."""
     grid = legacy_numeric_grid(table)
     if detector.anchor_mode == "keyword":
         anchors = [
@@ -118,13 +227,13 @@ def legacy_detect(detector: DerivedDetector, table: Table) -> set:
     for row, col in anchors:
         if row not in checked_rows:
             checked_rows.add(row)
-            if detector._row_is_derived(grid, row):
+            if legacy_row_is_derived(detector, grid, row):
                 detected.update(
                     (row, j) for j in np.nonzero(~np.isnan(grid[row]))[0]
                 )
         if col not in checked_cols:
             checked_cols.add(col)
-            if detector._column_is_derived(grid, col):
+            if legacy_column_is_derived(detector, grid, col):
                 detected.update(
                     (int(i), col)
                     for i in np.nonzero(~np.isnan(grid[:, col]))[0]
@@ -514,6 +623,73 @@ class TestParity:
         }
         assert new == legacy
 
+    def test_derived_detection_every_function_identical(self, table):
+        detector = DerivedDetector(functions=SUPPORTED_FUNCTIONS, relative=True)
+        legacy = {(int(i), int(j)) for i, j in legacy_detect(detector, table)}
+        assert detector.detect(fresh(table)) == legacy
+
+
+# ----------------------------------------------------------------------
+# Algorithm 2's one-pass scan against the step-by-step walk
+# ----------------------------------------------------------------------
+
+
+def _random_detector(rng: np.random.Generator) -> DerivedDetector:
+    functions = tuple(
+        name for name in SUPPORTED_FUNCTIONS if rng.random() < 0.4
+    )
+    return DerivedDetector(
+        delta=float(rng.choice([0.01, 0.1, 0.5, 2.0])),
+        coverage=float(rng.choice([0.25, 0.5, 0.75, 1.0])),
+        functions=functions or (str(rng.choice(SUPPORTED_FUNCTIONS)),),
+        relative=bool(rng.integers(2)),
+    )
+
+
+def _random_walk(
+    rng: np.random.Generator, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(candidates, contributions)`` for one walk: zero-heavy rows of
+    small values, and candidates that mostly sit on (or exactly
+    ``delta`` away from) a true running aggregate, so that matches,
+    near misses and all-zero sums all occur."""
+    n_steps = int(rng.integers(0, 7))
+    n_candidates = int(rng.integers(1, 6))
+    contributions = rng.integers(-2, 6, size=(n_steps, n_candidates)) * (
+        float(rng.choice([1.0, 0.1, 1e3]))
+    )
+    contributions[rng.random(contributions.shape) < 0.5] = 0.0
+    if n_steps == 0 or rng.random() < 0.15:
+        candidates = rng.integers(-1, 3, size=n_candidates) * 1.0
+    else:
+        window = contributions[: int(rng.integers(1, n_steps + 1))]
+        aggregates = {
+            "sum": window.sum(axis=0),
+            "mean": window.sum(axis=0) / len(window),
+            "min": window.min(axis=0),
+            "max": window.max(axis=0),
+            "median": np.median(window, axis=0),
+        }
+        candidates = aggregates[str(rng.choice(SUPPORTED_FUNCTIONS))]
+        offsets = rng.choice([0.0, delta, -delta, 0.5, 7.0], size=n_candidates)
+        candidates = candidates + offsets * (rng.random(n_candidates) < 0.4)
+    return candidates.astype(np.float64), contributions.astype(np.float64)
+
+
+def test_scan_matches_step_walk_on_random_walks():
+    rng = np.random.default_rng(2021)
+    outcomes = []
+    for trial in range(4000):
+        detector = _random_detector(rng)
+        candidates, contributions = _random_walk(rng, detector.delta)
+        expected = legacy_scan(detector, candidates, contributions)
+        assert detector._scan(candidates, contributions) is expected, (
+            trial, detector.cache_key, candidates, contributions,
+        )
+        outcomes.append(expected)
+    # Both outcomes are common, so the comparison is not vacuous.
+    assert 0.25 < np.mean(outcomes) < 0.75
+
 
 # ----------------------------------------------------------------------
 # Profile unit behaviour
@@ -588,14 +764,21 @@ class TestProfileMemoization:
         first = DerivedDetector()
         second = DerivedDetector()
         assert first.cache_key == second.cache_key
-        assert profile.derived_cells(first) is profile.derived_cells(second)
+        assert profile.derived_mask(first) is profile.derived_mask(second)
 
     def test_derived_memo_distinct_configs(self):
         table = Table([["Total", "3"], ["x", "1"], ["y", "2"]])
         profile = table_profile(table)
-        default = profile.derived_cells(DerivedDetector())
-        relaxed = profile.derived_cells(DerivedDetector(delta=5.0))
+        default = profile.derived_mask(DerivedDetector())
+        relaxed = profile.derived_mask(DerivedDetector(delta=5.0))
         assert default is not relaxed
+
+    def test_derived_mask_is_read_only(self):
+        table = EDGE_TABLES["totals"]
+        mask = table_profile(fresh(table)).derived_mask(DerivedDetector())
+        assert mask.dtype == bool and mask.shape == table.shape
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
 
     def test_materialize_returns_self(self):
         table = Table([["a", "1"]])
