@@ -8,8 +8,8 @@ blocks) are usually smaller than tables.
 
 The published pseudo-code is an iterative depth-first expansion over
 untouched non-empty cells; this module now delegates to the columnar
-:class:`~repro.core.profile.TableProfile`, whose run-based union-find
-labels the same components without per-cell Python (the DFS reference
+:class:`~repro.core.profile.TableProfile`, which labels the same
+components with ``scipy.ndimage.label`` (the DFS reference
 implementation lives on in ``tests/test_profile_parity.py``, which
 pins equality).  The dict views below remain the public Algorithm 1
 API; the cell feature extractor reads the profile's

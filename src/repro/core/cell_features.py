@@ -152,7 +152,7 @@ class CellFeatureExtractor:
 
         profile = table_profile(table)
         rr, cc = np.nonzero(profile.non_empty)
-        positions = [(int(i), int(j)) for i, j in zip(rr, cc)]
+        positions = list(zip(rr.tolist(), cc.tolist()))
         if not positions:
             return positions, np.zeros((0, len(CELL_FEATURE_NAMES)))
 

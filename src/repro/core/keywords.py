@@ -8,11 +8,22 @@ the derived cell detection Algorithm 2.
 
 from __future__ import annotations
 
-from repro.util.text import tokenize_words
+import re
 
 #: The paper's aggregation term dictionary, lower-cased.
 AGGREGATION_KEYWORDS: frozenset[str] = frozenset(
     {"total", "all", "sum", "average", "avg", "mean", "median"}
+)
+
+#: A keyword that is a whole word: a maximal run of ASCII letters and
+#: digits (the words of :func:`repro.util.text.tokenize_words`).
+#: ``re.ASCII`` keeps case folding to ASCII, so ``"ſum"`` (long s) is
+#: not ``"sum"``.  The profile runs it over all distinct values at once.
+AGGREGATION_PATTERN: re.Pattern[str] = re.compile(
+    "(?<![A-Za-z0-9])(?:"
+    + "|".join(sorted(AGGREGATION_KEYWORDS))
+    + ")(?![A-Za-z0-9])",
+    re.ASCII | re.IGNORECASE,
 )
 
 
@@ -22,9 +33,7 @@ def contains_aggregation_keyword(text: str) -> bool:
     Matching is word-based and case-insensitive: ``"Grand Total:"``
     matches, ``"totally"`` does not.
     """
-    return any(
-        word.lower() in AGGREGATION_KEYWORDS for word in tokenize_words(text)
-    )
+    return AGGREGATION_PATTERN.search(text) is not None
 
 
 def line_contains_aggregation_keyword(cells: list[str]) -> bool:

@@ -14,21 +14,21 @@ columnar numpy array and memoizes the whole bundle on the
 derived, blocks — pulls from the same arrays.  Two design points do
 the heavy lifting:
 
-* **Unique-value dispatch.**  Verbose CSV files repeat values heavily
-  (years, group labels, blank padding, small integers), so each
-  *distinct* stripped string is classified exactly once —
-  :func:`~repro.core.datatypes.infer_data_type`,
-  :func:`~repro.core.datatypes.parse_number`,
-  :func:`~repro.core.keywords.contains_aggregation_keyword` and
-  :func:`~repro.util.text.count_words` run per unique value — and the
-  results are scattered back onto the grid with
-  ``np.unique(..., return_inverse=True)``.  The regex cost scales with
-  the vocabulary, not the cell count.
-* **Vectorized connected components.**  Block sizes (Algorithm 1) are
-  labeled with a run-based union-find: horizontal runs of non-empty
-  cells are identified with one ``cumsum``, vertically adjacent runs
-  are unioned, and sizes are scattered back per cell — no per-cell
-  Python, same components as the published DFS.
+* **Whole-table passes over the vocabulary.**  Verbose CSV files
+  repeat values heavily (years, group labels, blank padding, small
+  integers), so each *distinct* stripped string is handled once and
+  the per-value results are scattered back onto the grid through an
+  inverse index.  The memoized
+  :func:`~repro.core.datatypes.infer_data_type` and
+  :func:`~repro.core.datatypes.parse_number` run per distinct value;
+  lengths, word counts and keyword flags come from one NUL-joined
+  string of the distinct values: word starts are found in its code
+  points, keywords with one ``finditer`` of
+  :data:`~repro.core.keywords.AGGREGATION_PATTERN`, and each hit is
+  credited to its value by a ``searchsorted`` over the start offsets.
+* **Library connected components.**  Block sizes (Algorithm 1) are
+  ``scipy.ndimage.label`` components under 4-adjacency, sized with
+  one ``bincount`` — the same components as the published DFS.
 
 Parity is the contract: every consumer rewired onto the profile
 produces byte-identical output to its original per-extractor
@@ -44,20 +44,26 @@ must treat every exposed array as read-only.
 
 from __future__ import annotations
 
+import string
 from functools import cached_property
 from typing import Protocol
 
 import numpy as np
+from scipy import ndimage
 
 from repro.core.datatypes import infer_data_type, parse_number
-from repro.core.keywords import contains_aggregation_keyword
+from repro.core.keywords import AGGREGATION_PATTERN
 from repro.types import DataType, Table
-from repro.util.text import count_words
 
 #: Integer code of the ``EMPTY`` data type in :attr:`TableProfile.dtype_grid`.
 EMPTY_CODE: int = int(DataType.EMPTY)
 
 _NUMERIC_CODES: tuple[int, int] = (int(DataType.INT), int(DataType.FLOAT))
+
+#: Code points below 128 that belong to a word, the ASCII letters and
+#: digits of :func:`repro.util.text.tokenize_words`.
+_WORD_CHAR = np.zeros(128, dtype=bool)
+_WORD_CHAR[[ord(c) for c in string.ascii_letters + string.digits]] = True
 
 
 class SupportsDerivedDetection(Protocol):
@@ -98,16 +104,47 @@ class TableProfile:
     # ------------------------------------------------------------------
     @cached_property
     def _dispatch(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(unique stripped values, inverse indices)`` for all cells.
+        """``(unique stripped values, inverse indices)`` for all cells:
+        what ``np.unique(..., return_inverse=True)`` returns, from a set
+        and a dict lookup instead of an object-array sort.
 
         Object dtype keeps memory proportional to the distinct strings
         (one reference per cell) even when individual cells are huge.
         """
         stripped = [v.strip() for row in self.table.rows() for v in row]
-        flat = np.empty(len(stripped), dtype=object)
-        flat[:] = stripped
-        unique, inverse = np.unique(flat, return_inverse=True)
-        return unique, inverse.astype(np.intp, copy=False)
+        distinct = sorted(set(stripped))
+        index = {value: k for k, value in enumerate(distinct)}
+        inverse = np.fromiter(
+            map(index.__getitem__, stripped),
+            dtype=np.intp,
+            count=len(stripped),
+        )
+        unique = np.empty(len(distinct), dtype=object)
+        unique[:] = distinct
+        return unique, inverse
+
+    @cached_property
+    def _vocabulary(self) -> tuple[str, np.ndarray, np.ndarray]:
+        """``(joined, starts, lengths)``: the distinct values joined by
+        NUL, and each value's start offset and length in ``joined``.
+
+        A value may itself hold NUL, so the offsets, not the
+        separators, say which value a position belongs to.
+        """
+        unique = self.unique_values
+        lengths = np.fromiter(
+            map(len, unique), dtype=np.intp, count=len(unique)
+        )
+        starts = np.zeros(len(unique), dtype=np.intp)
+        np.cumsum(lengths[:-1] + 1, out=starts[1:])
+        return "\0".join(unique), starts, lengths
+
+    def _per_value_counts(self, positions: np.ndarray) -> np.ndarray:
+        """How many of ``positions`` (offsets into the joined
+        vocabulary) fall in each distinct value."""
+        starts = self._vocabulary[1]
+        owners = np.searchsorted(starts, positions, side="right") - 1
+        return np.bincount(owners, minlength=len(starts))
 
     @property
     def unique_values(self) -> np.ndarray:
@@ -141,13 +178,7 @@ class TableProfile:
         to :math:`2^{24}`; consumers needing ``float64`` arithmetic
         upcast first, which is exact.
         """
-        unique = self.unique_values
-        lengths = np.fromiter(
-            (len(value) for value in unique),
-            dtype=np.float32,
-            count=len(unique),
-        )
-        return self._scatter(lengths)
+        return self._scatter(self._vocabulary[2].astype(np.float32))
 
     @cached_property
     def non_empty(self) -> np.ndarray:
@@ -173,24 +204,26 @@ class TableProfile:
     @cached_property
     def keyword_mask(self) -> np.ndarray:
         """Boolean mask of cells containing an aggregation keyword."""
-        unique = self.unique_values
-        flags = np.fromiter(
-            (contains_aggregation_keyword(value) for value in unique),
-            dtype=bool,
-            count=len(unique),
-        )
-        return self._scatter(flags)
+        matches = AGGREGATION_PATTERN.finditer(self._vocabulary[0])
+        hits = np.fromiter((m.start() for m in matches), dtype=np.intp)
+        return self._scatter(self._per_value_counts(hits) > 0)
 
     @cached_property
     def word_counts(self) -> np.ndarray:
-        """``int64`` grid of alphanumeric word counts per cell."""
-        unique = self.unique_values
-        counts = np.fromiter(
-            (count_words(value) for value in unique),
-            dtype=np.int64,
-            count=len(unique),
+        """``int64`` grid of alphanumeric word counts per cell.
+
+        A word starts at each ASCII letter or digit whose predecessor
+        is not one; the code points come from UTF-32, with
+        ``surrogatepass`` so lone surrogates count as one non-word
+        character each, as they do in ``str``.
+        """
+        codes = np.frombuffer(
+            self._vocabulary[0].encode("utf-32-le", "surrogatepass"),
+            dtype="<u4",
         )
-        return self._scatter(counts)
+        word = _WORD_CHAR[np.minimum(codes, 127)]
+        word[1:] &= ~word[:-1]  # ``~`` copies, so this reads the marks
+        return self._scatter(self._per_value_counts(np.flatnonzero(word)))
 
     @cached_property
     def numeric_mask(self) -> np.ndarray:
@@ -284,65 +317,21 @@ class TableProfile:
     # ------------------------------------------------------------------
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(block_labels, block_size_grid)`` via run-based union-find.
-
-        Horizontal runs of non-empty cells get ids from one row-major
-        ``cumsum`` over run starts (runs cannot span rows because
-        every row begins a new start); vertically adjacent runs are
-        unioned; component sizes are the summed run lengths.
-        """
-        mask = self.non_empty
-        labels = np.full(self.shape, -1, dtype=np.int64)
-        sizes = np.zeros(self.shape, dtype=np.int64)
-        if mask.size == 0 or not mask.any():
-            return labels, sizes
-
-        starts = mask.copy()
-        starts[:, 1:] &= self.empty_mask[:, :-1]
-        run_ids = np.full(self.shape, -1, dtype=np.int64)
-        run_ids[mask] = np.cumsum(starts.reshape(-1))[mask.reshape(-1)] - 1
-        n_runs = int(starts.sum())
-        run_lengths = np.bincount(run_ids[mask], minlength=n_runs)
-
-        parent = np.arange(n_runs, dtype=np.int64)
-
-        def find(run: int) -> int:
-            root = run
-            while parent[root] != root:
-                root = parent[root]
-            while parent[run] != root:  # path compression
-                parent[run], run = root, int(parent[run])
-            return root
-
-        both = mask[:-1] & mask[1:]
-        vertical_pairs = np.stack(
-            [run_ids[:-1][both], run_ids[1:][both]], axis=1
-        )
-        if vertical_pairs.size:
-            for upper, lower in np.unique(vertical_pairs, axis=0):
-                root_a, root_b = find(int(upper)), find(int(lower))
-                if root_a != root_b:
-                    parent[root_b] = root_a
-
-        roots = np.fromiter(
-            (find(run) for run in range(n_runs)),
-            dtype=np.int64,
-            count=n_runs,
-        )
-        component_sizes = np.zeros(n_runs, dtype=np.int64)
-        np.add.at(component_sizes, roots, run_lengths)
-
-        cell_roots = roots[run_ids[mask]]
-        labels[mask] = cell_roots
-        sizes[mask] = component_sizes[cell_roots]
-        return labels, sizes
+        """``(block_labels, block_size_grid)`` from one
+        ``scipy.ndimage.label`` pass (its default structure is
+        4-adjacency) and a ``bincount`` of the component numbers."""
+        components, _ = ndimage.label(self.non_empty)
+        sizes = np.bincount(components.ravel(), minlength=1)
+        sizes[0] = 0  # component 0 is the background: the empty cells
+        return components.astype(np.int64) - 1, sizes[components]
 
     @property
     def block_labels(self) -> np.ndarray:
         """``int64`` grid of connected-component labels under
-        4-adjacency; ``-1`` for empty cells.  Labels are arbitrary but
-        deterministic: two cells share a label iff they share a
-        component."""
+        4-adjacency; ``-1`` for empty cells.  A label is
+        ``ndimage.label``'s component number minus one, so components
+        are numbered from 0 in the raster order of their first cell;
+        two cells share a label iff they share a component."""
         return self._blocks[0]
 
     @property

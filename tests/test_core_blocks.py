@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import block_sizes, normalized_block_sizes
+from repro.core.profile import table_profile
 from repro.types import Table
 
 
@@ -86,3 +87,14 @@ def test_matches_networkx_reference(seed, n_rows, n_cols, density):
         for node in component:
             assert sizes[node] == len(component)
     assert set(sizes) == set(graph.nodes)
+
+    # Two cells share a block label exactly when networkx puts them in
+    # one component; empty cells are labeled -1.
+    labels = table_profile(table).block_labels
+    by_label: dict[int, set[tuple[int, int]]] = {}
+    for i, j in zip(*np.nonzero(labels >= 0)):
+        by_label.setdefault(int(labels[i, j]), set()).add((int(i), int(j)))
+    assert sorted(map(sorted, by_label.values())) == sorted(
+        map(sorted, nx.connected_components(graph))
+    )
+    assert (labels[~grid] == -1).all()

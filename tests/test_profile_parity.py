@@ -6,9 +6,10 @@ performance change: every consumer must produce *exactly* the output
 of its original per-cell Python implementation.  This module keeps
 those original implementations alive as references — the line feature
 loop, the cell feature loop, the per-cell ``numeric_grid``, the DFS of
-Algorithm 1, and the table-scanning anchor enumeration and step-by-step
-walk of Algorithm 2 — and pins equality down to the byte level
-(``ndarray.tobytes()``), not just ``allclose``.
+Algorithm 1, the tokenize-and-lower keyword test, and the
+table-scanning anchor enumeration and step-by-step walk of Algorithm 2
+— and pins equality down to the byte level (``ndarray.tobytes()``),
+not just ``allclose``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.blocks import block_sizes, normalized_block_sizes
 from repro.core.cell_features import (
@@ -31,8 +34,8 @@ from repro.core.derived import (
     numeric_grid,
 )
 from repro.core.keywords import (
+    AGGREGATION_KEYWORDS,
     contains_aggregation_keyword,
-    line_contains_aggregation_keyword,
 )
 from repro.core.line_features import (
     _LENGTH_BINS,
@@ -42,6 +45,8 @@ from repro.core.line_features import (
 )
 from repro.core.profile import table_profile
 from repro.datagen import make_corpus
+from repro.datagen.filegen import generate_file
+from repro.datagen.spec import FileSpec, TableSpec
 from repro.types import CONTENT_CLASSES, DataType, MISSING_NEIGHBOR, Table
 from repro.util.stats import (
     bhattacharyya_distance,
@@ -49,7 +54,7 @@ from repro.util.stats import (
     histogram,
     min_max_normalize,
 )
-from repro.util.text import count_words
+from repro.util.text import count_words, tokenize_words
 
 # ----------------------------------------------------------------------
 # Legacy reference implementations (the pre-profile code, verbatim
@@ -68,10 +73,23 @@ def legacy_numeric_grid(table: Table) -> np.ndarray:
     return grid
 
 
-def legacy_block_sizes(table: Table) -> dict[tuple[int, int], int]:
-    """The published Algorithm 1: iterative DFS over non-empty cells."""
+def legacy_contains_aggregation_keyword(text: str) -> bool:
+    """The keyword test before the shared pattern: tokenize, lower,
+    look up."""
+    return any(
+        word.lower() in AGGREGATION_KEYWORDS for word in tokenize_words(text)
+    )
+
+
+def legacy_line_contains_aggregation_keyword(cells: list[str]) -> bool:
+    return any(legacy_contains_aggregation_keyword(cell) for cell in cells)
+
+
+def legacy_components(table: Table) -> list[list[tuple[int, int]]]:
+    """The published Algorithm 1: iterative DFS over non-empty cells,
+    returning each connected component's positions."""
     non_empty = {(cell.row, cell.col) for cell in table.non_empty_cells()}
-    sizes: dict[tuple[int, int], int] = {}
+    components: list[list[tuple[int, int]]] = []
     visited: set[tuple[int, int]] = set()
     for start in non_empty:
         if start in visited:
@@ -91,10 +109,17 @@ def legacy_block_sizes(table: Table) -> dict[tuple[int, int], int]:
                 if neighbour in non_empty and neighbour not in visited:
                     visited.add(neighbour)
                     stack.append(neighbour)
-        size = len(component)
-        for position in component:
-            sizes[position] = size
-    return sizes
+        components.append(component)
+    return components
+
+
+def legacy_block_sizes(table: Table) -> dict[tuple[int, int], int]:
+    """Algorithm 1's block size of every non-empty cell."""
+    return {
+        position: len(component)
+        for component in legacy_components(table)
+        for position in component
+    }
 
 
 def legacy_tolerance(
@@ -211,7 +236,7 @@ def legacy_detect(detector: DerivedDetector, table: Table) -> set:
         anchors = [
             (cell.row, cell.col)
             for cell in table.non_empty_cells()
-            if contains_aggregation_keyword(cell.value)
+            if legacy_contains_aggregation_keyword(cell.value)
         ]
     else:
         anchors = [
@@ -292,7 +317,9 @@ class LegacyLineFeatureExtractor:
         dcg = discounted_cumulative_gain(
             [0.0 if t is DataType.EMPTY else 1.0 for t in row_types]
         )
-        aggregation = 1.0 if line_contains_aggregation_keyword(row) else 0.0
+        aggregation = (
+            1.0 if legacy_line_contains_aggregation_keyword(row) else 0.0
+        )
         numeric = sum(1 for j in non_empty if is_numeric_type(row_types[j]))
         strings = sum(
             1 for j in non_empty if row_types[j] is DataType.STRING
@@ -418,7 +445,7 @@ class LegacyCellFeatureExtractor:
         keyword = np.zeros((n_rows, n_cols), dtype=bool)
         for i, row in enumerate(rows):
             for j, value in enumerate(row):
-                if value.strip() and contains_aggregation_keyword(value):
+                if value.strip() and legacy_contains_aggregation_keyword(value):
                     keyword[i, j] = True
         row_keyword = keyword.any(axis=1)
         col_keyword = keyword.any(axis=0)
@@ -524,7 +551,38 @@ EDGE_TABLES: dict[str, Table] = {
             ["2019-01-02", "3 Mar 2020", "text", "", "0", "100.0"],
         ]
     ),
+    # Values whose words or keywords differ between ASCII and Unicode
+    # matching, or that hold NUL, a lone surrogate or a line break.
+    "unicode_traps": Table(
+        [
+            ["ſum", "ſsum", "medİan"],
+            ["medıan", "TOTAL2", "sum_x"],
+            ["Grand Total:", "a\x00total", "x\ud800 mean"],
+            ["avg\nx", "  ", "１２３"],
+            ["٣"],
+        ]
+    ),
 }
+
+
+def deck_table(rows: int) -> Table:
+    """A benchmark-deck-shaped file: title and notes around one table
+    of ``rows`` data lines, six numeric columns and a grand total."""
+    spec = FileSpec(
+        domain="science",
+        metadata_lines=2,
+        notes_lines=2,
+        tables=[
+            TableSpec(
+                n_numeric_cols=6,
+                n_groups=0,
+                rows_per_group=rows,
+                grand_total=True,
+            )
+        ],
+    )
+    rng = np.random.default_rng([0, rows])
+    return generate_file(spec, rng, f"r{rows}").table
 
 
 def corpus_tables(name: str, scale: float = 0.02) -> list[Table]:
@@ -535,6 +593,14 @@ ALL_TABLES: list[tuple[str, Table]] = list(EDGE_TABLES.items()) + [
     (f"{name}-{index}", table)
     for name in ("govuk", "saus", "deex", "mendeley")
     for index, table in enumerate(corpus_tables(name))
+]
+
+
+#: The profile-grid tests also run on an 800-row deck file, whose
+#: vocabulary runs to thousands of distinct values.  (The exhaustive
+#: Algorithm 2 reference would take seconds on it.)
+PROFILE_TABLES: list[tuple[str, Table]] = ALL_TABLES + [
+    ("deck-800", deck_table(800))
 ]
 
 
@@ -698,7 +764,9 @@ def test_scan_matches_step_walk_on_random_walks():
 
 class TestProfileGrids:
     @pytest.mark.parametrize(
-        "table", [t for _, t in ALL_TABLES], ids=[n for n, _ in ALL_TABLES]
+        "table",
+        [t for _, t in PROFILE_TABLES],
+        ids=[n for n, _ in PROFILE_TABLES],
     )
     def test_dtype_grid_matches_per_cell_inference(self, table):
         profile = table_profile(fresh(table))
@@ -709,7 +777,9 @@ class TestProfileGrids:
                 ), (i, j, value)
 
     @pytest.mark.parametrize(
-        "table", [t for _, t in ALL_TABLES], ids=[n for n, _ in ALL_TABLES]
+        "table",
+        [t for _, t in PROFILE_TABLES],
+        ids=[n for n, _ in PROFILE_TABLES],
     )
     def test_value_lengths_and_words(self, table):
         profile = table_profile(fresh(table))
@@ -720,31 +790,65 @@ class TestProfileGrids:
                 )
                 assert profile.word_counts[i, j] == count_words(value)
                 assert profile.keyword_mask[i, j] == (
-                    contains_aggregation_keyword(value)
+                    legacy_contains_aggregation_keyword(value)
                 )
 
     def test_block_labels_partition_matches_dfs_components(self):
-        table = EDGE_TABLES["spiral"]
-        profile = table_profile(fresh(table))
-        labels = profile.block_labels
-        sizes = legacy_block_sizes(table)
-        # Two cells share a label exactly when the DFS puts them in one
-        # component (component = set of positions with the same size
-        # *and* connectivity; check via representative flood fill).
-        by_label: dict[int, set[tuple[int, int]]] = {}
-        for i, j in zip(*np.nonzero(profile.non_empty)):
-            by_label.setdefault(int(labels[i, j]), set()).add(
-                (int(i), int(j))
-            )
-        for component in by_label.values():
-            size = len(component)
-            assert all(sizes[cell] == size for cell in component)
-        assert sum(len(c) for c in by_label.values()) == len(sizes)
+        for name, table in PROFILE_TABLES:
+            profile = table_profile(fresh(table))
+            labels = profile.block_labels
+            # Two cells share a label exactly when the DFS puts them in
+            # one component, and every empty cell is labeled -1.
+            by_label: dict[int, set[tuple[int, int]]] = {}
+            for i, j in zip(*np.nonzero(labels >= 0)):
+                by_label.setdefault(int(labels[i, j]), set()).add(
+                    (int(i), int(j))
+                )
+            assert sorted(map(sorted, by_label.values())) == sorted(
+                map(sorted, legacy_components(table))
+            ), name
+            assert (labels[~profile.non_empty] == -1).all(), name
 
     def test_empty_cells_labeled_minus_one(self):
         profile = table_profile(Table([["a", ""], ["", "b"]]))
         assert profile.block_labels[0, 1] == -1
         assert profile.block_size_grid[0, 1] == 0
+
+
+#: Characters of the trap table plus keyword fragments, so that drawn
+#: cells hold whole keywords next to the characters that decide them.
+_TRAP_ALPHABET: tuple[str, ...] = (
+    "ſ", "İ", "ı", "\x00", "\ud800", "\n", " ", "_", ":", "2", "１", "٣",
+    "a", "s", "x", "T", "um", "an", "med", "sum", "Total", "TOTAL",
+    "avg", "all", "mean", "median", "AVERAGE",
+)
+
+_trap_cells = st.lists(st.sampled_from(_TRAP_ALPHABET), max_size=5).map(
+    "".join
+)
+
+
+@given(
+    rows=st.lists(
+        st.lists(_trap_cells, min_size=1, max_size=4), min_size=1, max_size=6
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_vocabulary_pass_matches_per_value_oracles(rows):
+    table = Table(rows)
+    profile = table_profile(table)
+    flat = np.empty(table.n_rows * table.n_cols, dtype=object)
+    flat[:] = [value.strip() for row in table.rows() for value in row]
+    unique, inverse = np.unique(flat, return_inverse=True)
+    assert profile.unique_values.tolist() == unique.tolist()
+    assert profile._dispatch[1].tolist() == inverse.tolist()
+    for i, row in enumerate(table.rows()):
+        for j, value in enumerate(row):
+            expected = legacy_contains_aggregation_keyword(value)
+            assert contains_aggregation_keyword(value) is expected, value
+            assert profile.keyword_mask[i, j] == expected, value
+            assert profile.word_counts[i, j] == count_words(value), value
+            assert profile.value_lengths[i, j] == len(value.strip()), value
 
 
 class TestProfileMemoization:

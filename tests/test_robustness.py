@@ -59,6 +59,14 @@ class TestDegenerateInputs:
         result = pipeline.analyze("Bericht über Umsätze\nRegion,Wert\nKöln,42\n")
         assert len(result.cell_classes) > 0
 
+    def test_lone_surrogate_cell(self, pipeline):
+        # A lone surrogate is a valid ``str`` with no UTF encoding; the
+        # profile's code-point pass must not choke on it.
+        result = pipeline.analyze("\ud800,1\n2,3\n")
+        assert result.table.cell(0, 0) == "\ud800"
+        assert len(result.line_classes) == result.table.n_rows
+        assert len(result.cell_classes) == 4
+
 
 class TestMissingClasses:
     def _two_class_corpus(self):
