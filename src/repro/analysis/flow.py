@@ -62,6 +62,8 @@ PUBLIC_ENTRY_POINTS: tuple[str, ...] = (
     "repro.serve.dlq.DeadLetterQueue.append",
     "repro.serve.dlq.replay_dead_letters",
     "repro.serve.protocol.decode_request",
+    "repro.serve.protocol.decode_response",
+    "repro.serve.protocol.result_from_payload",
     "repro.serve.service.ClassificationService.drain",
     "repro.serve.service.run_service",
 )

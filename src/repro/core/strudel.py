@@ -27,13 +27,14 @@ sizes the forest backbone and never changes a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.core.cell_features import CellFeatureExtractor
 from repro.core.line_features import LineFeatureExtractor
+from repro.core.profile import table_profile
 from repro.dialect.dialect import Dialect
 from repro.errors import (
     ConfigurationError,
@@ -49,9 +50,10 @@ from repro.io.ingest import (
 )
 from repro.obs import get_tracer
 from repro.types import (
+    CLASS_CODES,
     CLASS_TO_INDEX,
+    CODE_TO_CLASS,
     CONTENT_CLASSES,
-    INDEX_TO_CLASS,
     AnnotatedFile,
     CellClass,
     Table,
@@ -118,18 +120,25 @@ def align_class_probabilities(
     return aligned
 
 
-#: Class objects on the canonical six-class axis, as an object array
-#: so a whole argmax vector maps to labels in one ``take`` instead of
-#: a Python loop (the loop showed up in the cell-prediction profile).
-_CLASS_BY_INDEX = np.array(
-    [INDEX_TO_CLASS[i] for i in range(len(CONTENT_CLASSES))],
+#: Class objects by code (:data:`~repro.types.CLASS_CODES`), as an
+#: object array so a whole code vector maps to labels in one ``take``
+#: instead of a Python loop (the loop showed up in the cell-prediction
+#: profile).
+_CLASS_BY_CODE = np.array(
+    [CODE_TO_CLASS[code] for code in range(len(CODE_TO_CLASS))],
     dtype=object,
 )
 
 
-def _labels_from(aligned: np.ndarray) -> list[CellClass]:
-    """Most probable class per row of an aligned probability matrix."""
-    return list(_CLASS_BY_INDEX.take(np.argmax(aligned, axis=1)))
+def _codes_from(aligned: np.ndarray) -> np.ndarray:
+    """Most probable class code (``int8``) per row of an aligned
+    probability matrix."""
+    return np.argmax(aligned, axis=1).astype(np.int8)
+
+
+def _classes_of(codes: np.ndarray) -> list[CellClass]:
+    """The :class:`CellClass` of each code."""
+    return _CLASS_BY_CODE.take(codes).tolist()
 
 
 def _apply_columns(
@@ -312,6 +321,22 @@ class StrudelLineClassifier:
         """
         return self.infer(table).probabilities
 
+    def predict_codes(
+        self, table: Table, inference: LineInference | None = None
+    ) -> np.ndarray:
+        """Predicted class code per line (``int8``,
+        :data:`~repro.types.CLASS_CODES`): the most probable class, and
+        ``EMPTY`` for lines without a non-empty cell.
+
+        Passing an existing :class:`LineInference` skips extraction
+        entirely.
+        """
+        if inference is None:
+            inference = self.infer(table)
+        codes = _codes_from(inference.probabilities)
+        codes[table_profile(table).empty_row] = CLASS_CODES[CellClass.EMPTY]
+        return codes
+
     def predict(
         self, table: Table, inference: LineInference | None = None
     ) -> list[CellClass]:
@@ -320,14 +345,7 @@ class StrudelLineClassifier:
         Passing an existing :class:`LineInference` skips extraction
         entirely.
         """
-        if inference is None:
-            inference = self.infer(table)
-        proba = inference.probabilities
-        labels = _labels_from(proba)
-        return [
-            CellClass.EMPTY if table.is_empty_row(i) else labels[i]
-            for i in range(table.n_rows)
-        ]
+        return _classes_of(self.predict_codes(table, inference))
 
 
 class StrudelCellClassifier:
@@ -442,23 +460,30 @@ class StrudelCellClassifier:
             raise NotFittedError("StrudelCellClassifier must be fitted first")
 
     # ------------------------------------------------------------------
+    def codes_from_features(self, features: np.ndarray) -> np.ndarray:
+        """Predicted class code (``int8``,
+        :data:`~repro.types.CLASS_CODES`) per row of a pre-extracted
+        cell feature matrix."""
+        self._require_fitted()
+        with get_tracer().span("cell_prediction"):
+            if not len(features):
+                return np.zeros(0, dtype=np.int8)
+            raw = self._model.predict_proba(
+                _apply_columns(features, self._columns)
+            )
+            return _codes_from(
+                align_class_probabilities(
+                    raw, self._model.classes_, features.shape[0]
+                )
+            )
+
     def predict_from_features(
         self,
         positions: list[tuple[int, int]],
         features: np.ndarray,
     ) -> tuple[list[tuple[int, int]], list[CellClass]]:
         """Predicted classes for pre-extracted cell features."""
-        self._require_fitted()
-        with get_tracer().span("cell_prediction"):
-            if not positions:
-                return [], []
-            raw = self._model.predict_proba(
-                _apply_columns(features, self._columns)
-            )
-            aligned = align_class_probabilities(
-                raw, self._model.classes_, features.shape[0]
-            )
-            return positions, _labels_from(aligned)
+        return positions, _classes_of(self.codes_from_features(features))
 
     def predict_with_positions(
         self,
@@ -529,6 +554,16 @@ class StructureResult:
     ``ingest`` carries the ingestion stage's repair report when the
     result came from :meth:`StrudelPipeline.analyze` (``None`` for
     :meth:`~StrudelPipeline.analyze_table`, which skips ingestion).
+
+    The pipeline classifies in class codes
+    (:data:`~repro.types.CLASS_CODES`) and keeps them on the result:
+    ``line_codes`` (``int8``, one per row), ``cell_positions``
+    (``int64``, ``(n, 2)``, the non-empty cells in row-major order)
+    and ``cell_codes`` (``int8``, aligned with the positions).
+    :meth:`from_codes` builds ``line_classes`` and ``cell_classes``
+    from them, so the corpus engine and the wire take the arrays as
+    they are.  A result built from classes alone, by keyword, has no
+    codes (``None``); they never take part in equality.
     """
 
     dialect: Dialect
@@ -536,6 +571,38 @@ class StructureResult:
     line_classes: list[CellClass]
     cell_classes: dict[tuple[int, int], CellClass]
     ingest: IngestReport | None = None
+    line_codes: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
+    cell_positions: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
+    cell_codes: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    @classmethod
+    def from_codes(
+        cls,
+        dialect: Dialect,
+        table: Table,
+        line_codes: np.ndarray,
+        cell_positions: np.ndarray,
+        cell_codes: np.ndarray,
+        ingest: IngestReport | None = None,
+    ) -> "StructureResult":
+        """A result whose class objects are decoded from its codes."""
+        rows, cols = cell_positions.T.tolist()
+        return cls(
+            dialect=dialect,
+            table=table,
+            line_classes=_classes_of(line_codes),
+            cell_classes=dict(zip(zip(rows, cols), _classes_of(cell_codes))),
+            ingest=ingest,
+            line_codes=line_codes,
+            cell_positions=cell_positions,
+            cell_codes=cell_codes,
+        )
 
 
 class StrudelPipeline:
@@ -581,18 +648,22 @@ class StrudelPipeline:
             self.cell_classifier.fit(files)
         return self
 
-    def _classify(self, table: Table) -> tuple[
-        list[CellClass], dict[tuple[int, int], CellClass]
-    ]:
-        """One shared line pass feeding both output granularities."""
+    def _classify(
+        self, table: Table
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One shared line pass feeding both output granularities:
+        ``(line_codes, cell_positions, cell_codes)``, the cells in the
+        row-major order the cell features are extracted in."""
         inference = self.line_classifier.infer(table)
-        line_classes = self.line_classifier.predict(
+        line_codes = self.line_classifier.predict_codes(
             table, inference=inference
         )
-        cell_classes = self.cell_classifier.predict(
-            table, line_inference=inference
+        _, features = self.cell_classifier.extract_cells(
+            table, inference.probabilities
         )
-        return line_classes, cell_classes
+        cell_codes = self.cell_classifier.codes_from_features(features)
+        positions = np.column_stack(np.nonzero(table_profile(table).non_empty))
+        return line_codes, positions, cell_codes
 
     def analyze(
         self,
@@ -637,21 +708,13 @@ class StrudelPipeline:
         table = ingested.table
         if self.crop:
             table = crop_table(table)
-        line_classes, cell_classes = self._classify(table)
-        return StructureResult(
-            dialect=ingested.dialect,
-            table=table,
-            line_classes=line_classes,
-            cell_classes=cell_classes,
+        return StructureResult.from_codes(
+            ingested.dialect, table, *self._classify(table),
             ingest=ingested.report,
         )
 
     def analyze_table(self, table: Table) -> StructureResult:
         """Classify the structure of an already-parsed table."""
-        line_classes, cell_classes = self._classify(table)
-        return StructureResult(
-            dialect=Dialect.standard(),
-            table=table,
-            line_classes=line_classes,
-            cell_classes=cell_classes,
+        return StructureResult.from_codes(
+            Dialect.standard(), table, *self._classify(table)
         )

@@ -62,24 +62,10 @@ from repro.io.adapters import FileAdapter
 from repro.io.ingest import IngestPolicy
 from repro.obs import get_metrics, get_tracer
 from repro.perf.pool import WorkerPool, effective_jobs
-from repro.types import CONTENT_CLASSES, CellClass
-
-#: Integer codes for every cell class, *including* the ``EMPTY``
-#: sentinel (which deliberately has no index in ``CLASS_TO_INDEX`` —
-#: it is not a content class, but line predictions do emit it).
-_CLASS_CODES: dict[CellClass, int] = {
-    cls: index for index, cls in enumerate(CONTENT_CLASSES)
-}
-_CLASS_CODES[CellClass.EMPTY] = len(CONTENT_CLASSES)
-_CODE_TO_CLASS: dict[int, CellClass] = {
-    code: cls for cls, code in _CLASS_CODES.items()
-}
-
-#: Public aliases of the code tables, for layers that serialize
-#: :class:`FileResult` arrays across other boundaries (the serve
-#: protocol re-encodes them as JSON and must agree on the codes).
-CLASS_CODES = _CLASS_CODES
-CODE_TO_CLASS = _CODE_TO_CLASS
+# ``CLASS_CODES`` is re-exported (redundant alias): the benchmark
+# reads the code table from here.
+from repro.types import CLASS_CODES as CLASS_CODES
+from repro.types import CODE_TO_CLASS, CellClass
 
 #: Aim for this many micro-batches per worker, so one slow shard
 #: cannot serialize the sweep's tail while keeping per-batch overhead
@@ -151,8 +137,8 @@ class FileResult:
     Arrays, not objects, so results are cheap to ship across process
     boundaries, round-trip losslessly through the ``.npz`` sweep cache
     and compare byte-for-byte in the parity tests.  ``line_codes`` /
-    ``cell_codes`` hold :data:`_CLASS_CODES` values; decode through
-    :meth:`line_classes` / :meth:`cell_classes`.
+    ``cell_codes`` hold :data:`~repro.types.CLASS_CODES` values;
+    decode through :meth:`line_classes` / :meth:`cell_classes`.
     """
 
     path: Path
@@ -177,16 +163,17 @@ class FileResult:
 
     def line_classes(self) -> list[CellClass]:
         """Per-line classes, decoded to :class:`CellClass`."""
-        return [_CODE_TO_CLASS[int(code)] for code in self.line_codes]
+        return list(map(CODE_TO_CLASS.__getitem__, self.line_codes.tolist()))
 
     def cell_classes(self) -> dict[tuple[int, int], CellClass]:
         """Non-empty cell positions mapped to their classes."""
-        return {
-            (int(row), int(col)): _CODE_TO_CLASS[int(code)]
-            for (row, col), code in zip(
-                self.cell_positions, self.cell_codes
+        rows, cols = self.cell_positions.T.tolist()
+        return dict(
+            zip(
+                zip(rows, cols),
+                map(CODE_TO_CLASS.__getitem__, self.cell_codes.tolist()),
             )
-        }
+        )
 
 
 @dataclass(frozen=True)
@@ -239,18 +226,9 @@ class SweepReport:
 # inline, worker, cache hit — produces identical arrays)
 # ----------------------------------------------------------------------
 def _encode_structure(result) -> dict[str, np.ndarray]:
-    """Flatten a :class:`StructureResult` into deterministic arrays."""
-    line_codes = np.array(
-        [_CLASS_CODES[cls] for cls in result.line_classes],
-        dtype=np.int8,
-    )
-    items = sorted(result.cell_classes.items())
-    positions = np.array(
-        [position for position, _ in items], dtype=np.int64
-    ).reshape(len(items), 2)
-    cell_codes = np.array(
-        [_CLASS_CODES[cls] for _, cls in items], dtype=np.int8
-    )
+    """A pipeline :class:`~repro.core.strudel.StructureResult` as
+    deterministic arrays: its class codes as the pipeline computed
+    them, plus the dialect and the table shape."""
     dialect = np.array(
         [
             result.dialect.delimiter,
@@ -263,9 +241,9 @@ def _encode_structure(result) -> dict[str, np.ndarray]:
         [result.table.n_rows, result.table.n_cols], dtype=np.int64
     )
     return {
-        "line_codes": line_codes,
-        "cell_positions": positions,
-        "cell_codes": cell_codes,
+        "line_codes": result.line_codes,
+        "cell_positions": result.cell_positions,
+        "cell_codes": result.cell_codes,
         "dialect": dialect,
         "shape": shape,
     }
@@ -347,6 +325,17 @@ class SweepCache:
     miss.  Counters mirror into the metrics registry
     (``sweep_cache.hits`` / ``sweep_cache.misses`` /
     ``sweep_cache.evictions``) and snapshot through :meth:`stats`.
+
+    Eviction is oldest-first by write time (``st_mtime_ns``, then
+    name).  Finding the oldest entries takes a scan of the whole
+    directory, so a store that passes ``max_entries`` evicts down to
+    ``max_entries - max_entries // 8`` in one scan: the next scan waits
+    for about an eighth of the bound's stores, not for the next one.
+    Between scans the cache counts its own stores.  Engines sharing one
+    directory therefore each miss the others' writes until their next
+    scan, which re-reads the directory and evicts the oldest entries
+    whoever wrote them; in between, the directory can hold up to the
+    other engines' stores since that scan beyond the bound.
     """
 
     def __init__(
@@ -441,27 +430,30 @@ class SweepCache:
             raise
         with self._lock:
             self._count += 1
-            over = self._count - self.max_entries
-        if over > 0:
-            self._evict(over)
+            over = self._count > self.max_entries
+        if over:
+            self._evict()
 
-    def _evict(self, count: int) -> None:
-        """Remove the ``count`` oldest entries (write-time LRU)."""
+    def _evict(self) -> None:
+        """Scan the directory once, remove its oldest entries
+        (write-time LRU) down to the low-water mark, and take the
+        directory's count as the cache's size."""
         entries = sorted(
             self.directory.glob("*.npz"),
             key=lambda p: (p.stat().st_mtime_ns, p.name),
         )
+        keep = self.max_entries - self.max_entries // 8
         removed = 0
-        for stale in entries[:count]:
+        for stale in entries[: max(0, len(entries) - keep)]:
             try:
                 stale.unlink()
             except OSError:
                 continue
             removed += 1
+        with self._lock:
+            self.evictions += removed
+            self._count = len(entries) - removed
         if removed:
-            with self._lock:
-                self.evictions += removed
-                self._count -= removed
             self._metrics.increment("sweep_cache.evictions", removed)
 
 

@@ -26,12 +26,16 @@ table shape, per-line classes, and the non-empty cell classes as
 the exact ``FileResult`` arrays (same dtypes, same order), so served
 results can be compared byte-for-byte against direct pipeline calls —
 the parity contract the engine already pins for sweeps extends across
-the wire.
+the wire.  Both directions work on the result's class-code arrays
+(:data:`~repro.types.CLASS_CODES`): cells go out in the engine's
+row-major array order, never through a dict or a sort.
 
 Protocol violations (undecodable JSON, a missing id, an unknown op, a
 payload that is neither path nor valid base64) raise
 :class:`~repro.errors.ProtocolError`; the service answers them with a
-structured failure instead of dropping the connection.
+structured failure instead of dropping the connection.  On the client
+side, a response line that is not a JSON object, or a result that
+cannot be rebuilt into a ``FileResult``, raises ``ProtocolError`` too.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.dialect.dialect import Dialect
-from repro.errors import ProtocolError
-from repro.perf.engine import CLASS_CODES, FileResult
-from repro.types import CellClass
+from repro.errors import DialectError, ProtocolError
+from repro.perf.engine import FileResult
+from repro.types import CLASS_CODES, CODE_TO_CLASS
 
 #: Wire protocol identifier, echoed in the service banner.
 PROTOCOL_SCHEMA = "repro-serve/1"
@@ -58,6 +62,18 @@ MAX_LINE_BYTES = 32 * 1024 * 1024
 
 #: The operations a request may name.
 OPERATIONS = ("classify", "ping", "stats")
+
+#: Wire name of each class code, as an object array so a whole code
+#: vector renders in one ``take``.
+_CODE_NAMES = np.array(
+    [CODE_TO_CLASS[code].value for code in range(len(CODE_TO_CLASS))],
+    dtype=object,
+)
+
+#: Class code of each wire name.
+_NAME_CODES: dict[str, int] = {
+    cls.value: code for cls, code in CLASS_CODES.items()
+}
 
 
 class ServeRequest:
@@ -164,7 +180,10 @@ def encode_request(
 # ----------------------------------------------------------------------
 def result_payload(result: FileResult) -> dict:
     """A :class:`FileResult` as a JSON-ready dict (deterministic:
-    cells stay in the engine's sorted position order)."""
+    cells stay in the engine's row-major position order)."""
+    cells = np.empty((len(result.cell_codes), 3), dtype=object)
+    cells[:, :2] = result.cell_positions
+    cells[:, 2] = _CODE_NAMES.take(result.cell_codes)
     return {
         "path": str(result.path),
         "n_rows": result.n_rows,
@@ -174,13 +193,8 @@ def result_payload(result: FileResult) -> dict:
             "quotechar": result.dialect.quotechar,
             "escapechar": result.dialect.escapechar,
         },
-        "line_classes": [cls.value for cls in result.line_classes()],
-        "cells": [
-            [int(row), int(col), cls.value]
-            for (row, col), cls in sorted(
-                result.cell_classes().items()
-            )
-        ],
+        "line_classes": _CODE_NAMES.take(result.line_codes).tolist(),
+        "cells": cells.tolist(),
     }
 
 
@@ -188,34 +202,41 @@ def result_from_payload(payload: dict) -> FileResult:
     """Rebuild the exact :class:`FileResult` arrays from a payload.
 
     Inverse of :func:`result_payload` down to array dtypes, so
-    ``.tobytes()`` parity checks work across a serve round-trip.
+    ``.tobytes()`` parity checks work across a serve round-trip.  A
+    payload of the wrong shape (not an object, a missing key, an
+    unknown class name, a cell that is not ``[row, col, class]``)
+    raises :class:`ProtocolError`.
     """
-    dialect = payload["dialect"]
-    cells = payload["cells"]
-    return FileResult(
-        path=Path(payload["path"]),
-        dialect=Dialect(
-            delimiter=dialect["delimiter"],
-            quotechar=dialect["quotechar"],
-            escapechar=dialect["escapechar"],
-        ),
-        n_rows=int(payload["n_rows"]),
-        n_cols=int(payload["n_cols"]),
-        line_codes=np.array(
-            [
-                CLASS_CODES[CellClass(value)]
-                for value in payload["line_classes"]
-            ],
-            dtype=np.int8,
-        ),
-        cell_positions=np.array(
-            [[row, col] for row, col, _ in cells], dtype=np.int64
-        ).reshape(len(cells), 2),
-        cell_codes=np.array(
-            [CLASS_CODES[CellClass(value)] for _, _, value in cells],
-            dtype=np.int8,
-        ),
-    )
+    try:
+        dialect = payload["dialect"]
+        cells = payload["cells"]
+        rows, cols, names = (
+            zip(*cells, strict=True) if cells else ((), (), ())
+        )
+        return FileResult(
+            path=Path(payload["path"]),
+            dialect=Dialect(
+                delimiter=dialect["delimiter"],
+                quotechar=dialect["quotechar"],
+                escapechar=dialect["escapechar"],
+            ),
+            n_rows=int(payload["n_rows"]),
+            n_cols=int(payload["n_cols"]),
+            line_codes=np.fromiter(
+                map(_NAME_CODES.__getitem__, payload["line_classes"]),
+                dtype=np.int8,
+            ),
+            cell_positions=np.array((rows, cols), dtype=np.int64).T.copy(),
+            cell_codes=np.fromiter(
+                map(_NAME_CODES.__getitem__, names),
+                dtype=np.int8,
+                count=len(names),
+            ),
+        )
+    except (KeyError, TypeError, ValueError, DialectError) as exc:
+        raise ProtocolError(
+            f"malformed result: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def success_response(request_id: str, result: FileResult) -> dict:
@@ -252,10 +273,17 @@ def encode_response(obj: dict) -> bytes:
 
 
 def decode_response(line: bytes | str) -> dict:
-    """Parse one response line (client side)."""
+    """Parse one response line (client side), raising
+    :class:`ProtocolError` when it is not a UTF-8 JSON object."""
     if isinstance(line, bytes):
-        line = line.decode("utf-8")
-    obj = json.loads(line)
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"response line is not UTF-8: {exc}")
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ProtocolError(f"response is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise ProtocolError("response must be a JSON object")
     return obj

@@ -62,6 +62,15 @@ CONTENT_CLASSES: tuple[CellClass, ...] = (
 CLASS_TO_INDEX: dict[CellClass, int] = {c: i for i, c in enumerate(CONTENT_CLASSES)}
 INDEX_TO_CLASS: dict[int, CellClass] = {i: c for c, i in CLASS_TO_INDEX.items()}
 
+#: Integer codes of predicted classes: the content-class index, plus
+#: ``EMPTY`` = 6.  ``EMPTY`` has no index in :data:`CLASS_TO_INDEX`
+#: (it is not a content class), but line predictions emit it for blank
+#: lines, so the arrays of a classified file need a code for it.
+CLASS_CODES: dict[CellClass, int] = {
+    **CLASS_TO_INDEX, CellClass.EMPTY: len(CONTENT_CLASSES)
+}
+CODE_TO_CLASS: dict[int, CellClass] = {i: c for c, i in CLASS_CODES.items()}
+
 
 class DataType(IntEnum):
     """Data type of a single cell value (Section 5.1).

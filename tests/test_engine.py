@@ -213,6 +213,35 @@ def test_sweep_cache_evicts_oldest_past_the_bound(tmp_path):
     assert cache.load(keys[2], tmp_path / "f.csv") is not None
 
 
+def test_sweep_cache_scans_the_directory_once_per_eighth_of_the_bound(
+    tmp_path, monkeypatch
+):
+    """Stores past the bound evict oldest first and never leave more
+    than the bound, but scan the directory only once per about
+    ``max_entries // 8`` stores (once per store before)."""
+    bound, past = 32, 40
+    cache = SweepCache(tmp_path, max_entries=bound)
+    scans = 0
+    real_glob = Path.glob
+
+    def counting_glob(self, pattern):
+        nonlocal scans
+        scans += 1
+        return real_glob(self, pattern)
+
+    monkeypatch.setattr(Path, "glob", counting_glob)
+    keys = [SweepCache.entry_key(f"c{i}", "m", "p") for i in range(bound + past)]
+    for i, key in enumerate(keys):
+        cache.store(key, _fake_entry(i))
+        os.utime(tmp_path / f"{key}.npz", ns=(i * 1_000_000, i * 1_000_000))
+        assert cache.stats()["size"] <= bound
+    assert scans <= past // (bound // 8)
+    stats = cache.stats()
+    survivors = {p.stem for p in real_glob(tmp_path, "*.npz")}
+    assert survivors == set(keys[-stats["size"]:])
+    assert stats["evictions"] == len(keys) - stats["size"]
+
+
 def test_sweep_cache_rejects_nonpositive_bound(tmp_path):
     with pytest.raises(InvalidParameterError):
         SweepCache(tmp_path, max_entries=0)

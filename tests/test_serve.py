@@ -32,6 +32,7 @@ from repro.serve import (
     ServiceClient,
     connect,
     decode_request,
+    decode_response,
     encode_request,
     replay_dead_letters,
     result_from_payload,
@@ -42,6 +43,16 @@ DAMAGED = b"Region,Q1\nNorth,\x005\nSouth,6\n"
 
 #: A deterministic clock for byte-exact dead-letter records.
 T0 = "2026-01-01T00:00:00+00:00"
+
+#: A well-formed wire result: two lines, three non-empty cells.
+RESULT = {
+    "path": "a.csv",
+    "n_rows": 2,
+    "n_cols": 2,
+    "dialect": {"delimiter": ",", "quotechar": '"', "escapechar": ""},
+    "line_classes": ["header", "data"],
+    "cells": [[0, 0, "header"], [1, 0, "data"], [1, 1, "data"]],
+}
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +143,28 @@ class TestProtocol:
             decode_request(b'{"id": "r2", "op": "stats"}\n').op
             == "stats"
         )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {k: v for k, v in RESULT.items() if k != "cells"},
+            {**RESULT, "cells": [[0, 0, "header"], [1, 0, "bogus"]]},
+            {**RESULT, "cells": [[0, 0, "header"], [1, 0]]},
+            list(RESULT.items()),
+        ],
+        ids=["missing-key", "unknown-class", "two-element-cell", "not-dict"],
+    )
+    def test_malformed_results_raise_protocol_error(self, payload):
+        assert result_from_payload(RESULT).cell_codes.tolist() == [1, 3, 3]
+        with pytest.raises(ProtocolError):
+            result_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "line", [b"\xff\xfe not utf-8\n", b"not json\n", b"[1, 2]\n"]
+    )
+    def test_malformed_response_lines_raise_protocol_error(self, line):
+        with pytest.raises(ProtocolError):
+            decode_response(line)
 
 
 # ----------------------------------------------------------------------
