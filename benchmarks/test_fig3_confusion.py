@@ -6,54 +6,40 @@ lines overwhelmingly drift to ``data`` — derived lines most of all.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.eval.experiments import cell_confusion, line_confusion
-from repro.eval.reporting import format_confusion
-from repro.types import CLASS_TO_INDEX, CellClass
-
-_DATA = CLASS_TO_INDEX[CellClass.DATA]
-_DERIVED = CLASS_TO_INDEX[CellClass.DERIVED]
+from repro.eval.experiments import cell_comparison, line_comparison
+from repro.eval.markdown import confusion_block
+from repro.eval.paper_values import failed_claims
 
 
 @pytest.mark.parametrize("dataset", ["govuk", "cius", "deex"])
 def test_fig3_line_confusion(benchmark, config, report, dataset):
-    matrix = benchmark.pedantic(
-        line_confusion,
+    result = benchmark.pedantic(
+        line_comparison,
         args=(config,),
-        kwargs={"datasets": (dataset,)},
+        kwargs={"datasets": (dataset,), "algorithms": ("Strudel-L",)},
         rounds=1,
         iterations=1,
-    )[dataset]
+    )
     report(
         f"Figure 3 (top) — Strudel-L confusion on {dataset}",
-        format_confusion(matrix),
+        "\n".join(confusion_block(result[dataset]["Strudel-L"].confusion)),
     )
-    # Diagonal dominates for the major classes.
-    assert matrix[_DATA, _DATA] > 0.95
-    # When derived lines are misclassified, 'data' is the main sink.
-    off_diagonal = matrix[_DERIVED].copy()
-    off_diagonal[_DERIVED] = 0.0
-    if off_diagonal.sum() > 0.02:
-        assert int(np.argmax(off_diagonal)) == _DATA
+    assert not failed_claims("Fig. 3 lines", result)
 
 
 @pytest.mark.parametrize("dataset", ["saus", "cius", "deex"])
 def test_fig3_cell_confusion(benchmark, config, report, dataset):
-    matrix = benchmark.pedantic(
-        cell_confusion,
+    result = benchmark.pedantic(
+        cell_comparison,
         args=(config,),
-        kwargs={"datasets": (dataset,)},
+        kwargs={"datasets": (dataset,), "algorithms": ("Strudel-C",)},
         rounds=1,
         iterations=1,
-    )[dataset]
+    )
     report(
         f"Figure 3 (bottom) — Strudel-C confusion on {dataset}",
-        format_confusion(matrix),
+        "\n".join(confusion_block(result[dataset]["Strudel-C"].confusion)),
     )
-    assert matrix[_DATA, _DATA] > 0.9
-    # Row-normalized rows of present classes sum to 1.
-    for row in matrix:
-        total = row.sum()
-        assert total == pytest.approx(1.0, abs=1e-9) or total == 0.0
+    assert not failed_claims("Fig. 3 cells", result)

@@ -3,25 +3,14 @@
 from __future__ import annotations
 
 from repro.eval.experiments import diversity_table
-from repro.eval.paper_values import TABLE3_DIVERSITY
+from repro.eval.markdown import diversity_rows
+from repro.eval.paper_values import failed_claims
 
 
 def test_table3_diversity(benchmark, config, report):
     result = benchmark.pedantic(
         diversity_table, args=(config,), rounds=1, iterations=1
     )
-    lines = [f"{'dataset':<10} " + " ".join(f"deg{d:>6}" for d in range(1, 6))]
-    for dataset, shares in result.items():
-        measured = " ".join(f"{shares[d]:>8.1f}" for d in range(1, 6))
-        lines.append(f"{dataset:<10} {measured}")
-        paper = TABLE3_DIVERSITY[dataset]
-        reference = " ".join(f"{paper[d]:>8.1f}" for d in range(1, 6))
-        lines.append(f"{'  (paper)':<10} {reference}")
     report("Table 3 — cell-class diversity degree (% of lines)",
-           "\n".join(lines))
-
-    for dataset, shares in result.items():
-        # The paper's shape: degree 1 dominates, higher degrees vanish.
-        assert shares[1] > 60.0
-        assert shares[1] + shares[2] > 95.0
-        assert shares[4] + shares[5] < 2.0
+           "\n".join(diversity_rows(result)))
+    assert not failed_claims("Table 3", result)

@@ -3,32 +3,14 @@
 from __future__ import annotations
 
 from repro.eval.experiments import class_distribution
-from repro.eval.paper_values import TABLE5_CLASSES
+from repro.eval.markdown import distribution_rows
+from repro.eval.paper_values import failed_claims
 
 
 def test_table5_class_distribution(benchmark, config, report):
     result = benchmark.pedantic(
         class_distribution, args=(config,), rounds=1, iterations=1
     )
-    lines = [f"{'class':<10} {'lines':>8} {'cells':>10} {'cells/line':>11}"]
-    for name, (n_lines, n_cells, per_line) in result.items():
-        paper_lines, paper_cells, paper_ratio = TABLE5_CLASSES[name]
-        lines.append(
-            f"{name:<10} {n_lines:>8} {n_cells:>10} {per_line:>11.2f}"
-        )
-        lines.append(
-            f"{'  (paper)':<10} {paper_lines:>8} {paper_cells:>10} "
-            f"{paper_ratio:>11.2f}"
-        )
     report("Table 5 — lines/cells per class (SAUS+CIUS+DeEx)",
-           "\n".join(lines))
-
-    # Shape checks mirroring the paper: data dominates both counts;
-    # derived lines are the widest (they span whole numeric rows);
-    # metadata and notes are the narrowest (mostly one cell per line).
-    assert result["data"][0] == max(row[0] for row in result.values())
-    ratios = {name: row[2] for name, row in result.items()}
-    assert ratios["derived"] > ratios["metadata"]
-    assert ratios["derived"] > ratios["notes"]
-    assert ratios["metadata"] < 3.0
-    assert ratios["notes"] < 3.0
+           "\n".join(distribution_rows(result)))
+    assert not failed_claims("Table 5", result)

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.experiments import cell_comparison
-from repro.eval.paper_values import TABLE6_CELL
-from repro.eval.reporting import format_comparison_table
-from repro.types import CellClass
+from repro.eval.markdown import f1_table
+from repro.eval.paper_values import TABLE6_CELL, failed_claims
 
 
 @pytest.mark.parametrize("dataset", ["saus", "cius", "deex"])
@@ -18,30 +17,12 @@ def test_table6_cell_classification(benchmark, config, report, dataset):
         kwargs={"datasets": (dataset,)},
         rounds=1,
         iterations=1,
-    )[dataset]
+    )
     report(
         f"Table 6 (bottom) — cell classification F1 on {dataset}",
-        format_comparison_table(
-            f"dataset={dataset} scale={config.scale:g} "
-            f"folds={config.n_splits}x{config.n_repeats}",
-            {name: cv.scores for name, cv in result.items()},
+        "\n".join(f1_table(
+            {name: cv.scores for name, cv in result[dataset].items()},
             TABLE6_CELL[dataset],
-        ),
+        )),
     )
-
-    strudel = result["Strudel-C"].scores
-    line_c = result["Line-C"].scores
-    rnn = result["RNN-C"].scores
-    # Strudel-C surpasses both competitors on macro-average.
-    assert strudel.macro_f1 >= line_c.macro_f1 - 0.02
-    assert strudel.macro_f1 >= rnn.macro_f1 - 0.02
-    # The paper's Line-C failure mode: group cells co-occur with data
-    # in the same lines, so majority extension hurts group F1 relative
-    # to Strudel-C.
-    assert strudel.per_class_f1[CellClass.GROUP] >= (
-        line_c.per_class_f1[CellClass.GROUP]
-    )
-    # Strudel-C's derived detection keeps derived F1 ahead of Line-C.
-    assert strudel.per_class_f1[CellClass.DERIVED] >= (
-        line_c.per_class_f1[CellClass.DERIVED] - 0.02
-    )
+    assert not failed_claims("Table 6 cells", result)

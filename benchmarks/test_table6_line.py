@@ -11,9 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.experiments import line_comparison
-from repro.eval.paper_values import TABLE6_LINE
-from repro.eval.reporting import format_comparison_table
-from repro.types import CellClass
+from repro.eval.markdown import f1_table
+from repro.eval.paper_values import TABLE6_LINE, failed_claims
 
 
 @pytest.mark.parametrize("dataset", ["govuk", "saus", "cius", "deex"])
@@ -24,29 +23,12 @@ def test_table6_line_classification(benchmark, config, report, dataset):
         kwargs={"datasets": (dataset,)},
         rounds=1,
         iterations=1,
-    )[dataset]
+    )
     report(
         f"Table 6 (top) — line classification F1 on {dataset}",
-        format_comparison_table(
-            f"dataset={dataset} scale={config.scale:g} "
-            f"folds={config.n_splits}x{config.n_repeats}",
-            {name: cv.scores for name, cv in result.items()},
+        "\n".join(f1_table(
+            {name: cv.scores for name, cv in result[dataset].items()},
             TABLE6_LINE[dataset],
-        ),
+        )),
     )
-
-    strudel = result["Strudel-L"].scores
-    crf = result["CRF-L"].scores
-    pytheas = result["Pytheas-L"].scores
-    # Who wins: Strudel leads on macro-average (small tolerance — the
-    # paper's GovUK gap between CRF and Strudel is only 0.018).
-    assert strudel.macro_f1 >= crf.macro_f1 - 0.03
-    assert strudel.macro_f1 > pytheas.macro_f1
-    # Derived is among the hardest classes for Strudel everywhere (on
-    # DeEx the numeric headers compete for last place, as the paper's
-    # own header-as-data analysis describes).
-    ranked = sorted(strudel.per_class_f1.values())
-    assert strudel.per_class_f1[CellClass.DERIVED] <= ranked[1] + 1e-9
-    # Data is reliably recognized by everyone (paper: >= .96 everywhere).
-    assert strudel.per_class_f1[CellClass.DATA] > 0.9
-    assert pytheas.per_class_f1[CellClass.DATA] > 0.9
+    assert not failed_claims("Table 6 lines", result)

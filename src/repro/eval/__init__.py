@@ -4,9 +4,9 @@
   evaluation for line and cell algorithms.
 * :mod:`repro.eval.experiments` — one function per paper table/figure.
 * :mod:`repro.eval.paper_values` — the numbers printed in the paper,
-  for side-by-side comparison.
-* :mod:`repro.eval.reporting` — plain-text rendering of result tables
-  and confusion matrices.
+  for side-by-side comparison, and the shape claims checked on ours.
+* :mod:`repro.eval.markdown` — the EXPERIMENTS.md generator, which
+  exits 1 when a shape claim fails.
 """
 
 from repro.eval.runner import (

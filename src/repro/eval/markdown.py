@@ -1,17 +1,25 @@
-"""EXPERIMENTS.md generation.
+"""EXPERIMENTS.md generation and the paper-claims gate.
 
 :func:`build_experiments_report` runs every experiment of the paper at
 the given configuration and renders a Markdown document recording
-paper-vs-measured values for each table and figure.  The repository's
-EXPERIMENTS.md is the output of one invocation; regenerate with::
+paper-vs-measured values for each table and figure, then every shape
+claim in :data:`repro.eval.paper_values.CLAIMS` marked ✅ or ❌.  The
+repository's EXPERIMENTS.md is the output of one invocation;
+regenerate with::
 
     python -m repro.eval.markdown [scale]
+
+which writes the file and exits 1, naming each failed claim, when a
+claim fails.  The row renderers are public so that the ``benchmarks/``
+tests print the same rows.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -45,7 +53,8 @@ def _paper_cells(row: dict) -> list[str]:
     return cells
 
 
-def _f1_table(measured: dict, paper: dict | None) -> list[str]:
+def f1_table(measured: dict, paper: dict | None) -> list[str]:
+    """Tables 6-8: per-class F1, accuracy and macro, ours and the paper's."""
     header = (
         "| algorithm | " + " | ".join(_CLASS_NAMES)
         + " | accuracy | macro |"
@@ -64,7 +73,8 @@ def _f1_table(measured: dict, paper: dict | None) -> list[str]:
     return lines
 
 
-def _confusion_block(matrix: np.ndarray) -> list[str]:
+def confusion_block(matrix: np.ndarray) -> list[str]:
+    """Figure 3: one row-normalized confusion matrix."""
     header = "| actual \\ predicted | " + " | ".join(_CLASS_NAMES) + " |"
     rule = "|" + "---|" * (len(_CLASS_NAMES) + 1)
     lines = [header, rule]
@@ -74,10 +84,140 @@ def _confusion_block(matrix: np.ndarray) -> list[str]:
     return lines
 
 
-def build_experiments_report(
-    config: experiments.ExperimentConfig,
+def diversity_rows(diversity: dict) -> list[str]:
+    """Table 3: share of lines per diversity degree, ours and the paper's."""
+    lines = [
+        "| dataset | deg 1 | deg 2 | deg 3 | deg 4 | deg 5 |",
+        "|---|---|---|---|---|---|",
+    ]
+    for dataset, shares in diversity.items():
+        measured = " | ".join(f"{shares[d]:.1f}%" for d in range(1, 6))
+        lines.append(f"| {dataset} (ours) | {measured} |")
+        paper = paper_values.TABLE3_DIVERSITY[dataset]
+        reference = " | ".join(f"{paper[d]:.1f}%" for d in range(1, 6))
+        lines.append(f"| {dataset} (paper) | {reference} |")
+    return lines
+
+
+def inventory_rows(summary: dict) -> list[str]:
+    """Table 4: files, lines and cells per corpus next to the paper's."""
+    lines = [
+        "| dataset | files | lines | cells | paper files/lines/cells |",
+        "|---|---|---|---|---|",
+    ]
+    for name, (files, n_lines, n_cells) in summary.items():
+        p = paper_values.TABLE4_DATASETS[name]
+        lines.append(
+            f"| {name} | {files} | {n_lines:,} | {n_cells:,} "
+            f"| {p[0]} / {p[1]:,} / {p[2]:,} |"
+        )
+    return lines
+
+
+def distribution_rows(distribution: dict) -> list[str]:
+    """Table 5: lines, cells and cells/line per class."""
+    lines = [
+        "| class | lines | cells | cells/line | paper cells/line |",
+        "|---|---|---|---|---|",
+    ]
+    for name, (n_lines, n_cells, ratio) in distribution.items():
+        paper_ratio = paper_values.TABLE5_CLASSES[name][2]
+        lines.append(
+            f"| {name} | {n_lines:,} | {n_cells:,} | {ratio:.2f} "
+            f"| {paper_ratio:.2f} |"
+        )
+    return lines
+
+
+def importance_rows(importance: dict) -> list[str]:
+    """Figure 4: the top-3 features per class with their shares."""
+    lines = []
+    for class_name, shares in importance.items():
+        ranked = sorted(shares.items(), key=lambda kv: -kv[1])[:3]
+        rendered = ", ".join(f"`{n}` ({s:.0%})" for n, s in ranked)
+        lines.append(f"* **{class_name}**: {rendered}")
+    return lines
+
+
+def cv_rows(label: str, results: dict) -> list[str]:
+    """S1/S2: accuracy and macro-F1 per variant."""
+    lines = [f"| {label} | accuracy | macro-F1 |", "|---|---|---|"]
+    for name, cv in results.items():
+        lines.append(
+            f"| {name} | {cv.scores.accuracy:.3f} "
+            f"| {cv.scores.macro_f1:.3f} |"
+        )
+    return lines
+
+
+def sweep_rows(sweep: dict) -> list[str]:
+    """S4: derived line F1 per (delta, coverage) setting."""
+    lines = ["| delta | coverage | derived line F1 |", "|---|---|---|"]
+    for (delta, coverage), f1 in sorted(sweep.items()):
+        lines.append(f"| {delta:g} | {coverage:g} | {f1:.3f} |")
+    return lines
+
+
+def anchor_rows(anchors: dict) -> list[str]:
+    """S4b: derived line F1 per Algorithm 2 anchor mode."""
+    lines = ["| anchor mode | derived line F1 |", "|---|---|"]
+    for name, f1 in anchors.items():
+        lines.append(f"| {name} | {f1:.3f} |")
+    return lines
+
+
+def group_rows(groups: dict) -> list[str]:
+    """S5: accuracy, macro-F1 and derived F1 per feature-group variant."""
+    lines = [
+        "| variant | accuracy | macro-F1 | derived F1 |",
+        "|---|---|---|---|",
+    ]
+    for name, cv in groups.items():
+        derived = cv.scores.per_class_f1.get(CellClass.DERIVED, 0.0)
+        lines.append(
+            f"| {name} | {cv.scores.accuracy:.3f} "
+            f"| {cv.scores.macro_f1:.3f} | {derived:.3f} |"
+        )
+    return lines
+
+
+def run_experiments(config: experiments.ExperimentConfig) -> dict[str, Any]:
+    """Run each experiment the report reads once, keyed by its name."""
+    return {
+        name: getattr(experiments, name)(config)
+        for name in (
+            "diversity_table",
+            "dataset_summary",
+            "class_distribution",
+            "line_comparison",
+            "cell_comparison",
+            "out_of_domain",
+            "plain_text",
+            "line_feature_importance",
+            "cell_feature_importance",
+            "classifier_ablation",
+            "global_feature_ablation",
+            "derived_parameter_sweep",
+            "anchor_mode_ablation",
+            "feature_group_ablation",
+        )
+    }
+
+
+def _claim_verdicts(
+    results: dict[str, Any],
+) -> list[tuple[paper_values.Claim, str | None]]:
+    """Every declared claim with why it fails on ``results`` (or None)."""
+    return [
+        (claim, claim.failure(results[claim.experiment]))
+        for claim in paper_values.CLAIMS
+    ]
+
+
+def render_report(
+    config: experiments.ExperimentConfig, results: dict[str, Any]
 ) -> str:
-    """Run every experiment and render the EXPERIMENTS.md content.
+    """Render the EXPERIMENTS.md content from :func:`run_experiments`.
 
     The text holds no clock reading, and ``config.n_jobs`` changes no
     value, so a regeneration can be diffed against the committed file.
@@ -94,22 +234,15 @@ def build_experiments_report(
         "Absolute scores run higher than the paper's (generated files",
         "are cleaner than hand-annotated spreadsheets); the *shape* —",
         "who wins, which classes are hard, where transfer collapses —",
-        "is the reproduction target and is asserted by the benchmark",
-        "suite in `benchmarks/`.",
+        "is the reproduction target.  Each shape claim is declared once",
+        "in `src/repro/eval/paper_values.py` and checked at the end of",
+        "this file; the generator exits 1 when one fails.",
         "",
     ]
 
     # ------------------------------------------------------ Table 3
     out += ["## Table 3 — cell-class diversity degree", ""]
-    diversity = experiments.diversity_table(config)
-    out.append("| dataset | deg 1 | deg 2 | deg 3 | deg 4 | deg 5 |")
-    out.append("|---|---|---|---|---|---|")
-    for dataset, shares in diversity.items():
-        measured = " | ".join(f"{shares[d]:.1f}%" for d in range(1, 6))
-        out.append(f"| {dataset} (ours) | {measured} |")
-        paper = paper_values.TABLE3_DIVERSITY[dataset]
-        reference = " | ".join(f"{paper[d]:.1f}%" for d in range(1, 6))
-        out.append(f"| {dataset} (paper) | {reference} |")
+    out += diversity_rows(results["diversity_table"])
     out += [
         "",
         "Shape preserved: degree 1 dominates everywhere; degrees 4-5 "
@@ -119,15 +252,7 @@ def build_experiments_report(
 
     # ------------------------------------------------------ Table 4
     out += ["## Table 4 — dataset inventory", ""]
-    summary = experiments.dataset_summary(config)
-    out.append("| dataset | files | lines | cells | paper files/lines/cells |")
-    out.append("|---|---|---|---|---|")
-    for name, (files, lines, cells) in summary.items():
-        p = paper_values.TABLE4_DATASETS[name]
-        out.append(
-            f"| {name} | {files} | {lines:,} | {cells:,} "
-            f"| {p[0]} / {p[1]:,} / {p[2]:,} |"
-        )
+    out += inventory_rows(results["dataset_summary"])
     out += [
         "",
         f"Corpora are generated at scale {config.scale:g}; relative "
@@ -138,15 +263,7 @@ def build_experiments_report(
 
     # ------------------------------------------------------ Table 5
     out += ["## Table 5 — class distribution (SAUS+CIUS+DeEx)", ""]
-    distribution = experiments.class_distribution(config)
-    out.append("| class | lines | cells | cells/line | paper cells/line |")
-    out.append("|---|---|---|---|---|")
-    for name, (lines, cells, ratio) in distribution.items():
-        paper_ratio = paper_values.TABLE5_CLASSES[name][2]
-        out.append(
-            f"| {name} | {lines:,} | {cells:,} | {ratio:.2f} "
-            f"| {paper_ratio:.2f} |"
-        )
+    out += distribution_rows(results["class_distribution"])
     out += [
         "",
         "Shape preserved: data dominates; derived lines are the "
@@ -156,20 +273,20 @@ def build_experiments_report(
 
     # ------------------------------------------------------ Table 6
     out += ["## Table 6 (top) — line classification F1", ""]
-    line_results = experiments.line_comparison(config)
+    line_results = results["line_comparison"]
     for dataset, algorithms in line_results.items():
         out += [f"### {dataset}", ""]
-        out += _f1_table(
+        out += f1_table(
             {name: cv.scores for name, cv in algorithms.items()},
             paper_values.TABLE6_LINE[dataset],
         )
         out.append("")
 
     out += ["## Table 6 (bottom) — cell classification F1", ""]
-    cell_results = experiments.cell_comparison(config)
+    cell_results = results["cell_comparison"]
     for dataset, algorithms in cell_results.items():
         out += [f"### {dataset}", ""]
-        out += _f1_table(
+        out += f1_table(
             {name: cv.scores for name, cv in algorithms.items()},
             paper_values.TABLE6_CELL[dataset],
         )
@@ -177,8 +294,7 @@ def build_experiments_report(
 
     # ------------------------------------------------------ Table 7/8
     out += ["## Table 7 — out-of-domain transfer (Troy)", ""]
-    troy = experiments.out_of_domain(config)
-    out += _f1_table(troy, paper_values.TABLE7_TROY)
+    out += f1_table(results["out_of_domain"], paper_values.TABLE7_TROY)
     out += [
         "",
         "Shape preserved: derived collapses out of domain (the paper "
@@ -188,8 +304,7 @@ def build_experiments_report(
         "## Table 8 — plain-text transfer (Mendeley)",
         "",
     ]
-    mendeley = experiments.plain_text(config)
-    out += _f1_table(mendeley, paper_values.TABLE8_MENDELEY)
+    out += f1_table(results["plain_text"], paper_values.TABLE8_MENDELEY)
     out += [
         "",
         "Shape preserved: data is near-perfect on these data-dominated "
@@ -204,12 +319,12 @@ def build_experiments_report(
         if dataset == "saus":
             continue  # the paper omits SAUS for space; we follow suit
         out += [f"### {dataset} (lines)", ""]
-        out += _confusion_block(algorithms["Strudel-L"].confusion)
+        out += confusion_block(algorithms["Strudel-L"].confusion)
         out.append("")
     out += ["### cell confusion (Strudel-C)", ""]
     for dataset, algorithms in cell_results.items():
         out += [f"#### {dataset} (cells)", ""]
-        out += _confusion_block(algorithms["Strudel-C"].confusion)
+        out += confusion_block(algorithms["Strudel-C"].confusion)
         out.append("")
     out += [
         "Shape preserved: misclassified minority lines/cells drift "
@@ -219,58 +334,32 @@ def build_experiments_report(
 
     # ------------------------------------------------------ Figure 4
     out += ["## Figure 4 — permutation feature importance", ""]
-    line_importance = experiments.line_feature_importance(config)
     out += ["### Strudel-L (top-3 features per class)", ""]
-    for class_name, shares in line_importance.items():
-        ranked = sorted(shares.items(), key=lambda kv: -kv[1])[:3]
-        rendered = ", ".join(f"`{n}` ({s:.0%})" for n, s in ranked)
-        out.append(f"* **{class_name}**: {rendered}")
+    out += importance_rows(results["line_feature_importance"])
     out.append("")
-    cell_importance = experiments.cell_feature_importance(config)
     out += ["### Strudel-C (top-3 features per class)", ""]
-    for class_name, shares in cell_importance.items():
-        ranked = sorted(shares.items(), key=lambda kv: -kv[1])[:3]
-        rendered = ", ".join(f"`{n}` ({s:.0%})" for n, s in ranked)
-        out.append(f"* **{class_name}**: {rendered}")
+    out += importance_rows(results["cell_feature_importance"])
     out += [
         "",
-        "Paper claims checked by `benchmarks/test_fig4_importance.py`: "
-        "`is_aggregation` and `derived_coverage` are derived-specific; "
-        "line-class probabilities dominate the line-homogeneous "
-        "classes.",
+        "Paper claims declared in `src/repro/eval/paper_values.py` and "
+        "checked below: `is_aggregation` and `derived_coverage` are "
+        "derived-specific; line-class probabilities dominate the "
+        "line-homogeneous classes.",
         "",
     ]
 
     # ------------------------------------------------------ Ablations
     out += ["## Supplementary ablations", ""]
-    backbone = experiments.classifier_ablation(config)
     out += ["### S1 — backbone choice (Section 6.1.2)", ""]
-    out.append("| backbone | accuracy | macro-F1 |")
-    out.append("|---|---|---|")
-    for name, cv in backbone.items():
-        out.append(
-            f"| {name} | {cv.scores.accuracy:.3f} "
-            f"| {cv.scores.macro_f1:.3f} |"
-        )
+    out += cv_rows("backbone", results["classifier_ablation"])
     out.append("")
 
-    global_features = experiments.global_feature_ablation(config)
     out += ["### S2 — global line features (Section 4)", ""]
-    out.append("| variant | accuracy | macro-F1 |")
-    out.append("|---|---|---|")
-    for name, cv in global_features.items():
-        out.append(
-            f"| {name} | {cv.scores.accuracy:.3f} "
-            f"| {cv.scores.macro_f1:.3f} |"
-        )
+    out += cv_rows("variant", results["global_feature_ablation"])
     out += ["", "Paper: the global features showed no positive impact.", ""]
 
-    sweep = experiments.derived_parameter_sweep(config)
     out += ["### S4 — Algorithm 2 parameter sweep", ""]
-    out.append("| delta | coverage | derived line F1 |")
-    out.append("|---|---|---|")
-    for (delta, coverage), f1 in sorted(sweep.items()):
-        out.append(f"| {delta:g} | {coverage:g} | {f1:.3f} |")
+    out += sweep_rows(results["derived_parameter_sweep"])
     out += [
         "",
         "Paper: no substantial difference across delta/coverage "
@@ -278,12 +367,8 @@ def build_experiments_report(
         "",
     ]
 
-    anchors = experiments.anchor_mode_ablation(config)
     out += ["### S4b — Algorithm 2 anchoring on Troy", ""]
-    out.append("| anchor mode | derived line F1 |")
-    out.append("|---|---|")
-    for name, f1 in anchors.items():
-        out.append(f"| {name} | {f1:.3f} |")
+    out += anchor_rows(results["anchor_mode_ablation"])
     out += [
         "",
         "Keyword anchoring trades recall on unanchored aggregates for "
@@ -291,77 +376,17 @@ def build_experiments_report(
         "",
     ]
 
-    groups = experiments.feature_group_ablation(config)
     out += ["### S5 — line feature groups", ""]
-    out.append("| variant | accuracy | macro-F1 | derived F1 |")
-    out.append("|---|---|---|---|")
-    for name, cv in groups.items():
-        derived = cv.scores.per_class_f1.get(CellClass.DERIVED, 0.0)
-        out.append(
-            f"| {name} | {cv.scores.accuracy:.3f} "
-            f"| {cv.scores.macro_f1:.3f} | {derived:.3f} |"
-        )
+    out += group_rows(results["feature_group_ablation"])
     out.append("")
 
-    # ------------------------------------------------ headline verdict
-    out += ["## Headline shape checks", ""]
-
-    def check(name: str, passed: bool) -> None:
-        out.append(f"* {'✅' if passed else '❌'} {name}")
-
-    line_wins = sum(
-        1
-        for dataset, algorithms in line_results.items()
-        if algorithms["Strudel-L"].scores.macro_f1
-        >= max(
-            cv.scores.macro_f1 for cv in algorithms.values()
-        ) - 0.02
-    )
-    check(
-        f"Strudel-L leads (or ties within 0.02) the macro-average on "
-        f"{line_wins}/{len(line_results)} line datasets",
-        line_wins >= len(line_results) - 1,
-    )
-    cell_wins = sum(
-        1
-        for dataset, algorithms in cell_results.items()
-        if algorithms["Strudel-C"].scores.macro_f1
-        >= max(cv.scores.macro_f1 for cv in algorithms.values()) - 0.02
-    )
-    check(
-        f"Strudel-C leads the macro-average on "
-        f"{cell_wins}/{len(cell_results)} cell datasets",
-        cell_wins == len(cell_results),
-    )
-    derived_hard = all(
-        sorted(algorithms["Strudel-L"].scores.per_class_f1.values())[1]
-        >= algorithms["Strudel-L"].scores.per_class_f1[CellClass.DERIVED]
-        - 1e-9
-        for algorithms in line_results.values()
-    )
-    check("derived is among the two hardest line classes everywhere",
-          derived_hard)
-    troy_lines = troy["Strudel-L"].per_class_f1
-    check(
-        "derived collapses out-of-domain on Troy (paper: 0.070)",
-        troy_lines[CellClass.DERIVED] == min(troy_lines.values()),
-    )
-    mendeley_lines = mendeley["Strudel-L"]
-    check(
-        "Mendeley: data near-perfect, macro visibly degraded",
-        mendeley_lines.per_class_f1[CellClass.DATA] > 0.98
-        and mendeley_lines.macro_f1 < 0.95,
-    )
-    check(
-        "random forest backbone holds its lead (within fold noise)",
-        backbone["random_forest"].scores.macro_f1
-        >= max(cv.scores.macro_f1 for cv in backbone.values()) - 0.04,
-    )
-    check(
-        "global features: no positive impact",
-        global_features["with_global"].scores.macro_f1
-        <= global_features["local_only"].scores.macro_f1 + 0.03,
-    )
+    # ------------------------------------------------ shape claims
+    out += ["## Paper shape claims", ""]
+    for claim, reason in _claim_verdicts(results):
+        scope = f" ({', '.join(claim.datasets)})" if claim.datasets else ""
+        verdict = "✅" if reason is None else "❌"
+        line = f"* {verdict} {claim.label}{scope}"
+        out.append(line if reason is None else f"{line} — {reason}")
     out.append("")
 
     out += [
@@ -374,23 +399,38 @@ def build_experiments_report(
     return "\n".join(out)
 
 
+def build_experiments_report(config: experiments.ExperimentConfig) -> str:
+    """Run every experiment and render the EXPERIMENTS.md content."""
+    return render_report(config, run_experiments(config))
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Regenerate EXPERIMENTS.md (optional argument: corpus scale)."""
+    """Regenerate EXPERIMENTS.md (optional argument: corpus scale).
+
+    Returns 1 when a paper shape claim fails; the file is written
+    either way, so its ❌ lines can be read.
+    """
     argv = sys.argv[1:] if argv is None else argv
     config = experiments.ExperimentConfig.from_env()
     if argv:
         config.scale = float(argv[0])
     started = time.perf_counter()
-    report = build_experiments_report(config)
+    results = run_experiments(config)
+    report = render_report(config, results)
     elapsed = time.perf_counter() - started
-    from pathlib import Path
-
     Path("EXPERIMENTS.md").write_text(report, encoding="utf-8")
     print(
         f"wrote EXPERIMENTS.md ({len(report.splitlines())} lines) "
         f"in {elapsed:.0f} s"
     )
-    return 0
+    failed = [
+        (claim, reason)
+        for claim, reason in _claim_verdicts(results)
+        if reason is not None
+    ]
+    for claim, reason in failed:
+        print(f"claim failed: {claim.label} — {reason}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

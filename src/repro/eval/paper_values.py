@@ -1,12 +1,22 @@
-"""The numbers reported in the paper, for side-by-side comparison.
+"""The numbers reported in the paper, and the shape claims checked on ours.
 
-All values are transcribed from the published tables; the benchmark
-harness prints them next to our measured values so a reader can check
-the *shape* of the reproduction (who wins, which classes are hard,
-where the crossovers are) at a glance.
+All values are transcribed from the published tables; EXPERIMENTS.md
+prints them next to our measured values.  :data:`CLAIMS` declares,
+once, each comparative *shape* the reproduction must keep (who wins,
+which classes are hard, where transfer collapses), with the constant
+it compares against.  ``python -m repro.eval.markdown`` marks every
+claim in EXPERIMENTS.md and exits 1 when one fails; the ``benchmarks/``
+tests assert the same declarations through :func:`failed_claims`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable
+
+import numpy as np
+
+from repro.types import CLASS_TO_INDEX, CellClass
 
 #: Table 3 — percentage of lines per cell-class diversity degree.
 TABLE3_DIVERSITY: dict[str, dict[int, float]] = {
@@ -165,3 +175,311 @@ FIGURE4_CLAIMS: tuple[str, ...] = (
 #: Section 6.3.4 — scalability: runtime linear in file size;
 #: ~256 s for a ~10 MB file on the authors' laptop.
 SCALABILITY_NOTE = "runtime grows linearly with file size"
+
+
+# ----------------------------------------------------------------------
+# Shape claims
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Claim:
+    """One shape claim of the paper, tested on one experiment's result.
+
+    ``experiment`` names the :mod:`repro.eval.experiments` function
+    whose result ``holds`` reads.  With ``datasets`` set, ``holds``
+    runs once per listed dataset present in the result, on that
+    dataset's entry, so a one-dataset slice checks that dataset only.
+    """
+
+    table: str
+    name: str
+    experiment: str
+    holds: Callable[[Any], bool]
+    datasets: tuple[str, ...] = ()
+
+    @property
+    def label(self) -> str:
+        """The table and the claim, as EXPERIMENTS.md prints them."""
+        return f"{self.table}: {self.name}"
+
+    def failure(self, result: Any) -> str | None:
+        """Why the claim fails on ``result``, or ``None`` when it holds.
+
+        An absent input, such as a class missing from a small corpus,
+        fails the claim rather than raising.
+        """
+        if not self.datasets:
+            return _failure(self.holds, result)
+        reasons = [
+            f"{dataset}: {reason}"
+            for dataset in self.datasets
+            if dataset in result
+            and (reason := _failure(self.holds, result[dataset])) is not None
+        ]
+        return "; ".join(reasons) or None
+
+
+def _failure(holds: Callable[[Any], bool], value: Any) -> str | None:
+    try:
+        return None if holds(value) else "fails"
+    except LookupError as missing:
+        return f"input missing ({missing!r})"
+
+
+def failed_claims(table: str, result: Any) -> list[str]:
+    """Each claim of ``table`` that fails on ``result``, with why."""
+    return [
+        f"{claim.label}: {reason}"
+        for claim in CLAIMS
+        if claim.table == table
+        and (reason := claim.failure(result)) is not None
+    ]
+
+
+_DATA = CLASS_TO_INDEX[CellClass.DATA]
+_DERIVED = CLASS_TO_INDEX[CellClass.DERIVED]
+
+
+def _macro(algorithms: dict, name: str) -> float:
+    return algorithms[name].scores.macro_f1
+
+
+def _f1(algorithms: dict, name: str, klass: CellClass) -> float:
+    return algorithms[name].scores.per_class_f1[klass]
+
+
+def _lines_per_file(summary: dict) -> dict[str, float]:
+    return {
+        name: n_lines / files for name, (files, n_lines, _) in summary.items()
+    }
+
+
+def _strudel_l_near_best(line_results: dict) -> bool:
+    """Strudel-L within 0.02 of the best macro-F1 on all but one dataset."""
+    wins = sum(
+        _macro(algorithms, "Strudel-L")
+        >= max(cv.scores.macro_f1 for cv in algorithms.values()) - 0.02
+        for algorithms in line_results.values()
+    )
+    return wins >= len(line_results) - 1
+
+
+def _derived_drifts_to_data(matrix: np.ndarray) -> bool:
+    """When derived lines are misclassified, data is their main sink."""
+    off_diagonal = matrix[_DERIVED].copy()
+    off_diagonal[_DERIVED] = 0.0
+    if off_diagonal.sum() > 0.02:
+        return int(np.argmax(off_diagonal)) == _DATA
+    return True
+
+
+def _specific_to_derived(shares: dict, feature: str) -> bool:
+    """Derived's share of ``feature`` ≥ every other class's − 0.02."""
+    return all(
+        shares["derived"][feature] >= other.get(feature, 0.0) - 0.02
+        for class_name, other in shares.items()
+        if class_name != "derived"
+    )
+
+
+def _probability_mass(shares: dict[str, float]) -> float:
+    return sum(
+        share
+        for name, share in shares.items()
+        if name.startswith("line_class_probability")
+    )
+
+
+#: Every shape claim on an experiment the EXPERIMENTS.md generator runs.
+CLAIMS: tuple[Claim, ...] = (
+    # Table 3: degree 1 dominates, higher degrees vanish.
+    Claim("Table 3", "degree 1 > 60 %", "diversity_table",
+          lambda shares: shares[1] > 60.0, tuple(TABLE3_DIVERSITY)),
+    Claim("Table 3", "degrees 1+2 > 95 %", "diversity_table",
+          lambda shares: shares[1] + shares[2] > 95.0,
+          tuple(TABLE3_DIVERSITY)),
+    Claim("Table 3", "degrees 4+5 < 2 %", "diversity_table",
+          lambda shares: shares[4] + shares[5] < 2.0,
+          tuple(TABLE3_DIVERSITY)),
+    # Table 4: the corpora keep the paper's relative scale.
+    Claim("Table 4", "Mendeley has the most lines per file",
+          "dataset_summary",
+          lambda summary: _lines_per_file(summary)["mendeley"]
+          == max(_lines_per_file(summary).values())),
+    Claim("Table 4", "Troy has the fewest lines per file",
+          "dataset_summary",
+          lambda summary: _lines_per_file(summary)["troy"]
+          == min(_lines_per_file(summary).values())),
+    Claim("Table 4", "cells > lines in every corpus", "dataset_summary",
+          lambda summary: all(
+              n_cells > n_lines for _, n_lines, n_cells in summary.values()
+          )),
+    # Table 5: data dominates; derived lines are the widest, metadata
+    # and notes the narrowest.
+    Claim("Table 5", "data has the most lines", "class_distribution",
+          lambda rows: rows["data"][0]
+          == max(row[0] for row in rows.values())),
+    Claim("Table 5", "derived cells/line > metadata's", "class_distribution",
+          lambda rows: rows["derived"][2] > rows["metadata"][2]),
+    Claim("Table 5", "derived cells/line > notes'", "class_distribution",
+          lambda rows: rows["derived"][2] > rows["notes"][2]),
+    Claim("Table 5", "metadata cells/line < 3.0", "class_distribution",
+          lambda rows: rows["metadata"][2] < 3.0),
+    Claim("Table 5", "notes cells/line < 3.0", "class_distribution",
+          lambda rows: rows["notes"][2] < 3.0),
+    # Table 6 (top): Strudel-L leads, Pytheas-L trails (the paper's
+    # GovUK gap between CRF-L and Strudel-L is only 0.018), and derived
+    # is among the two hardest classes (on DeEx the numeric headers
+    # compete for last place).
+    Claim("Table 6 lines", "Strudel-L macro ≥ CRF-L − 0.03",
+          "line_comparison",
+          lambda a: _macro(a, "Strudel-L") >= _macro(a, "CRF-L") - 0.03,
+          tuple(TABLE6_LINE)),
+    Claim("Table 6 lines", "Strudel-L macro > Pytheas-L", "line_comparison",
+          lambda a: _macro(a, "Strudel-L") > _macro(a, "Pytheas-L"),
+          tuple(TABLE6_LINE)),
+    Claim("Table 6 lines",
+          "Strudel-L derived F1 ≤ its second-lowest class F1 + 1e-9",
+          "line_comparison",
+          lambda a: _f1(a, "Strudel-L", CellClass.DERIVED)
+          <= sorted(a["Strudel-L"].scores.per_class_f1.values())[1] + 1e-9,
+          tuple(TABLE6_LINE)),
+    Claim("Table 6 lines", "Strudel-L data F1 > 0.9", "line_comparison",
+          lambda a: _f1(a, "Strudel-L", CellClass.DATA) > 0.9,
+          tuple(TABLE6_LINE)),
+    Claim("Table 6 lines", "Pytheas-L data F1 > 0.9", "line_comparison",
+          lambda a: _f1(a, "Pytheas-L", CellClass.DATA) > 0.9,
+          tuple(TABLE6_LINE)),
+    Claim("Table 6 lines",
+          "Strudel-L macro ≥ best − 0.02 on ≥ n−1 datasets",
+          "line_comparison", _strudel_l_near_best),
+    # Table 6 (bottom): Strudel-C leads; majority extension costs
+    # Line-C the group cells that share lines with data.
+    Claim("Table 6 cells", "Strudel-C macro ≥ Line-C − 0.02",
+          "cell_comparison",
+          lambda a: _macro(a, "Strudel-C") >= _macro(a, "Line-C") - 0.02,
+          tuple(TABLE6_CELL)),
+    Claim("Table 6 cells", "Strudel-C macro ≥ RNN-C − 0.02",
+          "cell_comparison",
+          lambda a: _macro(a, "Strudel-C") >= _macro(a, "RNN-C") - 0.02,
+          tuple(TABLE6_CELL)),
+    Claim("Table 6 cells", "Strudel-C group F1 ≥ Line-C's",
+          "cell_comparison",
+          lambda a: _f1(a, "Strudel-C", CellClass.GROUP)
+          >= _f1(a, "Line-C", CellClass.GROUP), tuple(TABLE6_CELL)),
+    Claim("Table 6 cells", "Strudel-C derived F1 ≥ Line-C's − 0.02",
+          "cell_comparison",
+          lambda a: _f1(a, "Strudel-C", CellClass.DERIVED)
+          >= _f1(a, "Line-C", CellClass.DERIVED) - 0.02, tuple(TABLE6_CELL)),
+    # Table 7: derived collapses out of domain (paper: 0.070 line,
+    # 0.216 cell; ~0.9 in domain at this scale) because Troy's derived
+    # lines carry no anchoring keywords; data and notes stay solid.
+    Claim("Table 7", "Strudel-L derived F1 is its lowest class F1",
+          "out_of_domain",
+          lambda r: r["Strudel-L"].per_class_f1[CellClass.DERIVED]
+          == min(r["Strudel-L"].per_class_f1.values())),
+    Claim("Table 7", "Strudel-L derived F1 ≤ 0.7", "out_of_domain",
+          lambda r: r["Strudel-L"].per_class_f1[CellClass.DERIVED] <= 0.7),
+    Claim("Table 7", "Strudel-L data F1 > 0.85", "out_of_domain",
+          lambda r: r["Strudel-L"].per_class_f1[CellClass.DATA] > 0.85),
+    Claim("Table 7", "Strudel-L notes F1 > 0.7", "out_of_domain",
+          lambda r: r["Strudel-L"].per_class_f1[CellClass.NOTES] > 0.7),
+    Claim("Table 7", "Strudel-C data F1 > 0.85", "out_of_domain",
+          lambda r: r["Strudel-C"].per_class_f1[CellClass.DATA] > 0.85),
+    # Table 8: data is near-perfect on data-dominated files while the
+    # minority classes degrade under the domain shift.
+    Claim("Table 8", "Strudel-L data F1 > 0.98", "plain_text",
+          lambda r: r["Strudel-L"].per_class_f1[CellClass.DATA] > 0.98),
+    Claim("Table 8",
+          "Strudel-L mean F1 of metadata, notes and group < its data F1",
+          "plain_text",
+          lambda r: sum(
+              r["Strudel-L"].per_class_f1[klass]
+              for klass in (CellClass.METADATA, CellClass.NOTES,
+                            CellClass.GROUP)
+          ) / 3 < r["Strudel-L"].per_class_f1[CellClass.DATA]),
+    Claim("Table 8", "Strudel-L macro F1 < 0.95", "plain_text",
+          lambda r: r["Strudel-L"].macro_f1 < 0.95),
+    # Figure 3: the diagonal dominates for data, and misclassified
+    # minority lines drift to data, derived most of all.
+    Claim("Fig. 3 lines", "Strudel-L data→data > 0.95", "line_comparison",
+          lambda a: a["Strudel-L"].confusion[_DATA, _DATA] > 0.95,
+          tuple(FIGURE3_LINE_HIGHLIGHTS)),
+    Claim("Fig. 3 lines",
+          "derived's largest sink is data when > 0.02 of it is misclassified",
+          "line_comparison",
+          lambda a: _derived_drifts_to_data(a["Strudel-L"].confusion),
+          tuple(FIGURE3_LINE_HIGHLIGHTS)),
+    Claim("Fig. 3 cells", "Strudel-C data→data > 0.9", "cell_comparison",
+          lambda a: a["Strudel-C"].confusion[_DATA, _DATA] > 0.9,
+          tuple(FIGURE3_CELL_HIGHLIGHTS)),
+    Claim("Fig. 3 cells", "every confusion row sums to 1 (±1e-9) or 0",
+          "cell_comparison",
+          lambda a: all(
+              abs(total - 1.0) <= 1e-9 or total == 0.0
+              for total in a["Strudel-C"].confusion.sum(axis=1)
+          ),
+          tuple(FIGURE3_CELL_HIGHLIGHTS)),
+    # Figure 4: DerivedCoverage and is_aggregation are derived-specific
+    # signals, and the line-class probabilities carry the
+    # line-homogeneous classes.
+    Claim("Fig. 4 lines",
+          "derived's `derived_coverage` share ≥ every other class's − 0.02",
+          "line_feature_importance",
+          lambda shares: _specific_to_derived(shares, "derived_coverage")),
+    Claim("Fig. 4 lines", "`aggregation_word` is in derived's top 3",
+          "line_feature_importance",
+          lambda shares: shares["derived"]["aggregation_word"]
+          >= sorted(shares["derived"].values(), reverse=True)[:3][-1]),
+    Claim("Fig. 4 cells", "derived's `is_aggregation` share ≥ 0.03",
+          "cell_feature_importance",
+          lambda shares: shares["derived"]["is_aggregation"] >= 0.03),
+    Claim("Fig. 4 cells",
+          "derived's `is_aggregation` share ≥ every other class's − 0.02",
+          "cell_feature_importance",
+          lambda shares: _specific_to_derived(shares, "is_aggregation")),
+    Claim("Fig. 4 cells",
+          "`line_class_probability*` mass ≥ 0.1 for notes and for metadata",
+          "cell_feature_importance",
+          lambda shares: all(
+              _probability_mass(shares[class_name]) >= 0.1
+              for class_name in ("notes", "metadata")
+          )),
+    # S1 (Section 6.1.2): "random forest consistently outperformed the
+    # other candidate algorithms"; at reduced scale the gap can sit
+    # inside fold noise.
+    Claim("S1", "random forest macro ≥ each other backbone − 0.04",
+          "classifier_ablation",
+          lambda r: all(
+              r["random_forest"].scores.macro_f1
+              >= r[name].scores.macro_f1 - 0.04
+              for name in ("naive_bayes", "knn", "svm")
+          )),
+    # S2 (Section 4): the global features showed no positive impact.
+    Claim("S2", "`with_global` macro ≤ `local_only` macro + 0.03",
+          "global_feature_ablation",
+          lambda r: r["with_global"].scores.macro_f1
+          <= r["local_only"].scores.macro_f1 + 0.03),
+    # S4 (Section 6.1.2): no substantial difference across delta and
+    # coverage; the defaults stay within reach of the best setting.
+    Claim("S4", "derived F1 spread over (δ, coverage) < 0.35",
+          "derived_parameter_sweep",
+          lambda sweep: max(sweep.values()) - min(sweep.values()) < 0.35),
+    Claim("S4", "(δ 0.1, coverage 0.5) ≥ best − 0.25",
+          "derived_parameter_sweep",
+          lambda sweep: sweep[(0.1, 0.5)] >= max(sweep.values()) - 0.25),
+    # S4b: out of domain, keyword anchoring leaves derived recall on
+    # the table that the exhaustive search recovers.
+    Claim("S4b", "exhaustive derived F1 ≥ keyword", "anchor_mode_ablation",
+          lambda f1: f1["exhaustive"] >= f1["keyword"]),
+    # S5: dropping DerivedCoverage costs derived F1, and the content
+    # features carry more of the signal than it does.
+    Claim("S5 lines", "full derived F1 ≥ `without_computational`'s − 0.06",
+          "feature_group_ablation",
+          lambda r: _f1(r, "all", CellClass.DERIVED)
+          >= _f1(r, "without_computational", CellClass.DERIVED) - 0.06),
+    Claim("S5 lines",
+          "`without_content` macro ≤ `without_computational` macro + 0.02",
+          "feature_group_ablation",
+          lambda r: _macro(r, "without_content")
+          <= _macro(r, "without_computational") + 0.02),
+)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.eval.markdown import _confusion_block, _f1_table, _paper_cells
+from repro.eval.markdown import _paper_cells, confusion_block, f1_table
 from repro.eval.runner import ClassificationScores
 from repro.types import CONTENT_CLASSES, CellClass
 
@@ -18,7 +18,7 @@ def _scores():
 
 class TestF1Table:
     def test_measured_and_paper_rows(self):
-        lines = _f1_table(
+        lines = f1_table(
             {"Strudel-L": _scores()},
             {"Strudel-L": {"metadata": 0.9, "macro_avg": 0.8,
                            "accuracy": 0.95, "derived": None}},
@@ -31,7 +31,7 @@ class TestF1Table:
         assert "—" in paper_row
 
     def test_no_paper_reference(self):
-        lines = _f1_table({"X": _scores()}, None)
+        lines = f1_table({"X": _scores()}, None)
         assert not any("(paper)" in line for line in lines)
 
     def test_missing_class_renders_dash(self):
@@ -41,7 +41,7 @@ class TestF1Table:
         scores = ClassificationScores.from_predictions(
             [CellClass.DATA], [CellClass.DATA], labels=labels
         )
-        lines = _f1_table({"Pytheas-L": scores}, None)
+        lines = f1_table({"Pytheas-L": scores}, None)
         ours_row = next(line for line in lines if "(ours)" in line)
         assert "—" in ours_row
 
@@ -55,7 +55,7 @@ class TestPaperCells:
 
 class TestConfusionBlock:
     def test_identity_matrix(self):
-        lines = _confusion_block(np.eye(6))
+        lines = confusion_block(np.eye(6))
         assert len(lines) == 8  # header + rule + 6 rows
         assert "1.000" in lines[2]
         assert lines[2].startswith("| metadata |")
