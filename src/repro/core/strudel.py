@@ -23,12 +23,20 @@ derives from that one object.  Cross-validation folds touch the same
 ``Table`` objects, so every fold after the first reuses each table's
 memoized :class:`~repro.core.profile.TableProfile`.  ``n_jobs`` only
 sizes the forest backbone and never changes a result.
+
+:class:`StrudelPipeline` classifies a *list* of tables on one path:
+features are extracted table by table, and each forest is called once
+over the row-stack of every table's matrix.  A forest's fixed cost
+per call is the largest single cost on a small file, so
+:meth:`StrudelPipeline.analyze_batch` (the corpus engine's entry)
+pays it once per micro-batch; ``analyze``/``analyze_bytes``/
+``analyze_table`` are batches of one, never stacked or copied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -156,6 +164,65 @@ def _apply_columns(
     ):
         return features
     return features[:, columns]
+
+
+def _attempt(fn: Callable[..., Any], values: tuple) -> Any:
+    """``fn(*values)``, or the exception it raises; the first exception
+    among ``values`` (an earlier stage's failure) instead of calling.
+
+    Kept apart from :func:`_each` so a caught exception's traceback
+    holds this frame, not the batch's lists."""
+    for value in values:
+        if isinstance(value, Exception):
+            return value
+    try:
+        return fn(*values)
+    except Exception as exc:
+        return exc
+
+
+def _each(fn: Callable[..., Any], *columns: Sequence) -> list:
+    """One stage of a batch, table by table: ``fn`` over the zipped
+    per-table ``columns``.
+
+    This is the batch's failure isolation.  A table that failed in an
+    earlier stage keeps that exception, and an exception ``fn`` raises
+    on a table becomes that table's value, so each table ends with the
+    exception a batch of it alone would raise and the others never see
+    it.
+    """
+    return [_attempt(fn, values) for values in zip(*columns)]
+
+
+def _stacked(predict: Callable[..., Any], matrices: list) -> list:
+    """``predict`` over a batch's per-table matrices in one call, split
+    back per table by row count.
+
+    Byte-identical to one call per matrix because a forest prediction
+    is row-independent: each row's leaves, and their tree-order sum,
+    depend on that row alone.  A lone live matrix is predicted as it
+    is, never stacked or copied.  If the stacked call raises, each
+    matrix is predicted alone, so only a table whose own call raises
+    fails.
+    """
+    live = [m for m in matrices if not isinstance(m, Exception)]
+    if len(live) > 1:
+        try:
+            stacked = predict(np.concatenate(live))
+        except Exception:
+            return _each(predict, matrices)
+        offsets = np.cumsum([len(m) for m in live[:-1]])
+        parts = iter(np.split(stacked, offsets))
+        return [m if isinstance(m, Exception) else next(parts) for m in matrices]
+    return _each(predict, matrices)
+
+
+def _or_raise(outcome: Any) -> Any:
+    """A batch-of-one outcome as an entry point returns it: raised if
+    it is the exception the table failed with."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass
@@ -648,22 +715,71 @@ class StrudelPipeline:
             self.cell_classifier.fit(files)
         return self
 
-    def _classify(
-        self, table: Table
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One shared line pass feeding both output granularities:
-        ``(line_codes, cell_positions, cell_codes)``, the cells in the
-        row-major order the cell features are extracted in."""
-        inference = self.line_classifier.infer(table)
-        line_codes = self.line_classifier.predict_codes(
-            table, inference=inference
+    def _classify(self, tables: list) -> list:
+        """The one classification path: ``(line_codes, cell_positions,
+        cell_codes)`` per table, or the exception the table failed
+        with (an exception in ``tables`` is carried through).
+
+        One shared line pass feeds both output granularities.  The
+        line features are extracted table by table, then one line
+        forest call covers the whole batch; per table, the line codes
+        and the cell features (which take the line probabilities)
+        follow, then one cell forest call (:func:`_stacked`).  The
+        cells come in the row-major order the cell features are
+        extracted in.
+        """
+        line, cells = self.line_classifier, self.cell_classifier
+        features = _each(line._extract, tables)
+        probabilities = _stacked(line.predict_proba_from_features, features)
+        line_codes = _each(
+            lambda table, matrix, proba: line.predict_codes(
+                table, LineInference(matrix, proba)
+            ),
+            tables, features, probabilities,
         )
-        _, features = self.cell_classifier.extract_cells(
-            table, inference.probabilities
+        # ``line_codes`` only carries a table's failure forward.
+        cell_features = _each(
+            lambda table, proba, _codes: cells.extract_cells(table, proba)[1],
+            tables, probabilities, line_codes,
         )
-        cell_codes = self.cell_classifier.codes_from_features(features)
-        positions = np.column_stack(np.nonzero(table_profile(table).non_empty))
-        return line_codes, positions, cell_codes
+        cell_codes = _stacked(cells.codes_from_features, cell_features)
+        return _each(
+            lambda table, codes, cell: (
+                codes,
+                np.column_stack(np.nonzero(table_profile(table).non_empty)),
+                cell,
+            ),
+            tables, line_codes, cell_codes,
+        )
+
+    def _analyze(
+        self,
+        ingest: Callable[..., Any],
+        sources: Sequence,
+        dialect: Dialect | None,
+        policy: IngestPolicy | None,
+    ) -> list:
+        """Shared tail of the ``analyze*`` entry points: each source
+        through the hardened ingestion stage and the crop, then all of
+        them through :meth:`_classify`.  One
+        :class:`StructureResult` or exception per source."""
+        policy = policy or IngestPolicy()
+
+        def prepare(source) -> tuple[Dialect, Table, IngestReport]:
+            ingested = ingest(source, dialect=dialect, policy=policy)
+            table = ingested.table
+            if self.crop:
+                table = crop_table(table)
+            return ingested.dialect, table, ingested.report
+
+        prepared = _each(prepare, sources)
+        tables = [p if isinstance(p, Exception) else p[1] for p in prepared]
+        return _each(
+            lambda ingested, codes: StructureResult.from_codes(
+                ingested[0], ingested[1], *codes, ingest=ingested[2]
+            ),
+            prepared, self._classify(tables),
+        )
 
     def analyze(
         self,
@@ -679,10 +795,8 @@ class StrudelPipeline:
         stage's report rides along on the result.
         """
         with get_tracer().span("analyze"):
-            ingested = ingest_text(
-                text, dialect=dialect, policy=policy or IngestPolicy()
-            )
-            return self._structure_from(ingested)
+            (outcome,) = self._analyze(ingest_text, [text], dialect, policy)
+            return _or_raise(outcome)
 
     def analyze_bytes(
         self,
@@ -693,28 +807,34 @@ class StrudelPipeline:
         """Classify the structure of raw CSV ``data`` (undecoded bytes).
 
         Identical to :meth:`analyze` but entering the hardened
-        ingestion stage one step earlier, at encoding resolution — the
-        path the corpus engine's workers take for files read straight
-        from disk.
+        ingestion stage one step earlier, at encoding resolution.  A
+        batch of one through the path :meth:`analyze_batch` takes.
         """
         with get_tracer().span("analyze"):
-            ingested = ingest_bytes(
-                data, dialect=dialect, policy=policy or IngestPolicy()
-            )
-            return self._structure_from(ingested)
+            (outcome,) = self._analyze(ingest_bytes, [data], dialect, policy)
+            return _or_raise(outcome)
 
-    def _structure_from(self, ingested) -> StructureResult:
-        """Shared tail of the ``analyze*`` entry points."""
-        table = ingested.table
-        if self.crop:
-            table = crop_table(table)
-        return StructureResult.from_codes(
-            ingested.dialect, table, *self._classify(table),
-            ingest=ingested.report,
-        )
+    def analyze_batch(
+        self,
+        payloads: Sequence[bytes],
+        policy: IngestPolicy | None = None,
+    ) -> list[StructureResult | Exception]:
+        """Classify many raw CSV payloads with one call per forest.
+
+        The corpus engine's entry, once per micro-batch.  Returns, per
+        payload and in order, the :class:`StructureResult`
+        :meth:`analyze_bytes` gives it, or the exception
+        :meth:`analyze_bytes` would raise on it, so one bad file never
+        fails the others.  Results are byte-identical to
+        :meth:`analyze_bytes` (see :func:`_stacked`); the forests'
+        fixed cost per call is paid once for the batch.
+        """
+        with get_tracer().span("analyze_batch", n_files=len(payloads)):
+            return self._analyze(ingest_bytes, payloads, None, policy)
 
     def analyze_table(self, table: Table) -> StructureResult:
         """Classify the structure of an already-parsed table."""
+        (codes,) = self._classify([table])
         return StructureResult.from_codes(
-            Dialect.standard(), table, *self._classify(table)
+            Dialect.standard(), table, *_or_raise(codes)
         )

@@ -325,33 +325,6 @@ def plain_text(config: ExperimentConfig) -> dict[str, ClassificationScores]:
 
 
 # ----------------------------------------------------------------------
-# Figure 3 — confusion matrices
-# ----------------------------------------------------------------------
-def line_confusion(
-    config: ExperimentConfig,
-    datasets: tuple[str, ...] = ("govuk", "cius", "deex"),
-) -> dict[str, np.ndarray]:
-    """Figure 3 (top): ensemble confusion matrices for Strudel-L."""
-    results = line_comparison(config, datasets, algorithms=("Strudel-L",))
-    return {
-        dataset: results[dataset]["Strudel-L"].confusion
-        for dataset in datasets
-    }
-
-
-def cell_confusion(
-    config: ExperimentConfig,
-    datasets: tuple[str, ...] = CV_CELL_DATASETS,
-) -> dict[str, np.ndarray]:
-    """Figure 3 (bottom): ensemble confusion matrices for Strudel-C."""
-    results = cell_comparison(config, datasets, algorithms=("Strudel-C",))
-    return {
-        dataset: results[dataset]["Strudel-C"].confusion
-        for dataset in datasets
-    }
-
-
-# ----------------------------------------------------------------------
 # Figure 4 — permutation feature importance
 # ----------------------------------------------------------------------
 def _one_vs_rest_importance(

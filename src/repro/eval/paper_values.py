@@ -172,11 +172,6 @@ FIGURE4_CLAIMS: tuple[str, ...] = (
     "column derived keywords matter for derived; row keywords do not",
 )
 
-#: Section 6.3.4 — scalability: runtime linear in file size;
-#: ~256 s for a ~10 MB file on the authors' laptop.
-SCALABILITY_NOTE = "runtime grows linearly with file size"
-
-
 # ----------------------------------------------------------------------
 # Shape claims
 # ----------------------------------------------------------------------

@@ -50,14 +50,16 @@ PIPELINE_STAGES: tuple[str, ...] = (
 )
 
 #: Lifecycle spans that are legitimate but are not pipeline stages:
-#: whole-call envelopes (``fit`` / ``analyze``), the evaluation
-#: driver's loop structure (``cross_validate`` / ``cv_fold``) and the
-#: one-off forest tensor packing (``forest_compile``).  The span-name
-#: lint (R103) accepts these in addition to :data:`PIPELINE_STAGES`
-#: but does not require call sites for them.
+#: whole-call envelopes (``fit`` / ``analyze`` / ``analyze_batch``),
+#: the evaluation driver's loop structure (``cross_validate`` /
+#: ``cv_fold``) and the one-off forest tensor packing
+#: (``forest_compile``).  The span-name lint (R103) accepts these in
+#: addition to :data:`PIPELINE_STAGES` but does not require call sites
+#: for them.
 AUX_SPANS: tuple[str, ...] = (
     "fit",
     "analyze",
+    "analyze_batch",
     "cross_validate",
     "cv_fold",
     "forest_compile",

@@ -20,10 +20,12 @@ One scheduler serves every entry point: :meth:`CorpusEngine.sweep`
 (paths, enumerated through :class:`~repro.io.adapters.FileAdapter` so
 archives expand into their members), :meth:`CorpusEngine.process_payloads`
 (in-memory payloads, the serve substrate) and, through ``sweep``, the
-CLI's lake mode.  It cuts the sources into *contiguous, size-balanced*
+CLI's lake mode.  It cuts the sources into *contiguous, size-bounded*
 micro-batches, keeps at most ``window`` of them in flight
 (backpressure: raw bytes exist for a bounded number of batches at
-once) and yields one outcome per source in **input order**.  Results
+once) and yields one outcome per source in **input order**.  Each
+micro-batch is one ``StrudelPipeline.analyze_batch`` call, so the
+forests' fixed cost per call is paid once per batch.  Results
 are plain numpy arrays (class codes, cell positions), so parity
 across ``n_jobs``, cache hits and misses is checkable with
 ``.tobytes()`` equality — the pinned guarantee that parallelism may
@@ -75,6 +77,17 @@ _BATCHES_PER_WORKER = 4
 #: Hard per-batch file count bound, so a corpus of tiny files still
 #: produces batches a worker finishes promptly.
 _MAX_BATCH_FILES = 64
+
+#: Most payload bytes one micro-batch holds.  A batch is classified
+#: in one ``analyze_batch`` call, which keeps every table, profile and
+#: feature matrix of the batch alive until its stacked forest calls
+#: (about 5 MB per 40 kB, 800-row file).  A batch is closed before a
+#: payload that would take it past this size, so a payload above it
+#: is classified alone.  Measured on an inline sweep of 64 such files
+#: (``docs/performance.md``): peak RSS 117 MB at 64 kB, 130 MB at
+#: 128 kB, 152 MB at 256 kB and 436 MB uncapped, against 114 MB for
+#: one file at a time; a 10-file lake shard (25–42 kB) stays whole.
+_MAX_BATCH_BYTES = 64 * 1024
 
 #: What a damaged ``.npz`` raises on load: truncated zip containers,
 #: bad headers, missing members.  Treated as a cache miss, never an
@@ -284,24 +297,24 @@ def _init_sweep_worker(payload: bytes) -> None:
 
 
 def _run_batch(pipeline, policy, batch):
-    """Classify one micro-batch; per-file failures become markers.
+    """Classify one micro-batch in one
+    :meth:`~repro.core.strudel.StrudelPipeline.analyze_batch` call (one
+    predict per forest); per-file failures become markers.
 
     Returns ``(index, arrays_dict)`` per success and
     ``(index, ("error", reason))`` per failure — a sweep over a messy
     data lake must survive any single file.
     """
+    results = pipeline.analyze_batch(
+        [data for _index, _name, data in batch], policy=policy
+    )
     out = []
-    for index, _name, data in batch:
-        try:
-            encoded = _encode_structure(
-                pipeline.analyze_bytes(data, policy=policy)
-            )
-        except Exception as exc:
-            out.append(
-                (index, ("error", f"{type(exc).__name__}: {exc}"))
-            )
+    for (index, _name, _data), result in zip(batch, results):
+        if isinstance(result, Exception):
+            reason = f"{type(result).__name__}: {result}"
+            out.append((index, ("error", reason)))
         else:
-            out.append((index, encoded))
+            out.append((index, _encode_structure(result)))
     return out
 
 
@@ -667,12 +680,15 @@ class CorpusEngine:
         source that never produced bytes) in input order and yields
         exactly one ``FileResult | SkipEntry`` per entry, in the same
         order, tallying ``report`` as it goes.  Cache hits settle on
-        arrival.  Misses are cut into contiguous micro-batches of
-        about ``known_bytes / (4 * workers)`` bytes and at most
-        :data:`_MAX_BATCH_FILES` files, and at most ``window`` of them
-        are in flight on the pool.  An engine with one worker, or a
-        run that cuts only one batch, computes inline and never
-        touches the pool.
+        arrival.  Misses are cut into contiguous micro-batches of at
+        most :data:`_MAX_BATCH_FILES` files and
+        :data:`_MAX_BATCH_BYTES` bytes (a payload above that is a
+        batch alone).  A pool also closes a batch at about
+        ``known_bytes / (4 * workers)`` bytes, so its workers share
+        the run, and keeps at most ``window`` batches in flight.  An
+        engine with one worker has nothing to balance and closes its
+        batches only at those two bounds.  It, or a run that cuts only
+        one batch, computes inline and never touches the pool.
 
         Anything that is not part of the sweep's own failure handling
         — KeyboardInterrupt, an outer cancellation, the consumer
@@ -681,8 +697,12 @@ class CorpusEngine:
         next run on this engine starts clean.
         """
         tracer = get_tracer()
-        budget = max(1, known_bytes // (self._workers * _BATCHES_PER_WORKER))
         inline = self._workers <= 1
+        budget = (
+            _MAX_BATCH_BYTES
+            if inline
+            else max(1, known_bytes // (self._workers * _BATCHES_PER_WORKER))
+        )
         queue: deque = deque()  # FileResult | SkipEntry | _Batch
         waiting: deque[_Batch] = deque()  # cut, not yet on the pool
         inflight = 0  # batches on the pool, not yet emitted
@@ -732,8 +752,11 @@ class CorpusEngine:
                     elif (settled := self._cache_lookup(*entry)) is not None:
                         report.cache_hits += 1
                     if settled is None:
+                        size = len(entry[1])
+                        if batch and batch_bytes + size > _MAX_BATCH_BYTES:
+                            close_batch()
                         batch.append((index, *entry))
-                        batch_bytes += len(entry[1])
+                        batch_bytes += size
                         batch_files += 1
                         if (
                             batch_bytes >= budget

@@ -12,7 +12,6 @@ from repro.eval.experiments import (
     ExperimentConfig,
     anchor_mode_ablation,
     cell_comparison,
-    cell_confusion,
     class_distribution,
     classifier_ablation,
     dataset_summary,
@@ -20,7 +19,6 @@ from repro.eval.experiments import (
     diversity_table,
     feature_group_ablation,
     line_comparison,
-    line_confusion,
     line_feature_importance,
     out_of_domain,
     plain_text,
@@ -92,11 +90,14 @@ class TestComparisons:
         assert CellClass.DERIVED not in pytheas.scores.per_class_f1
         strudel = results["saus"]["Strudel-L"]
         assert strudel.scores.accuracy > 0.6
+        assert strudel.confusion.shape == (6, 6)  # Fig. 3 (top)
 
     def test_cell_comparison_structure(self, config):
         results = cell_comparison(config, datasets=("saus",))
         assert set(results["saus"]) == {"Line-C", "RNN-C", "Strudel-C"}
-        assert results["saus"]["Strudel-C"].scores.accuracy > 0.6
+        strudel = results["saus"]["Strudel-C"]
+        assert strudel.scores.accuracy > 0.6
+        assert strudel.confusion.shape == (6, 6)  # Fig. 3 (bottom)
 
 
 class TestTransfers:
@@ -109,16 +110,6 @@ class TestTransfers:
         scores = plain_text(config)
         # Mendeley is data-dominated: data F1 should be very high.
         assert scores["Strudel-L"].per_class_f1[CellClass.DATA] > 0.9
-
-
-class TestConfusions:
-    def test_line_confusion(self, config):
-        matrices = line_confusion(config, datasets=("saus",))
-        assert matrices["saus"].shape == (6, 6)
-
-    def test_cell_confusion(self, config):
-        matrices = cell_confusion(config, datasets=("saus",))
-        assert matrices["saus"].shape == (6, 6)
 
 
 class TestImportanceAndAblations:
