@@ -101,20 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "a whole directory of them through the corpus engine",
     )
     classify.add_argument("file", type=Path)
-    classify.add_argument(
-        "--corpus", default="saus", choices=sorted(CORPUS_BUILDERS),
-        help="training corpus personality (default: saus)",
-    )
-    classify.add_argument("--scale", type=float, default=0.15,
-                          help="training corpus scale (default: 0.15)")
-    classify.add_argument("--trees", type=int, default=40,
-                          help="random forest size (default: 40)")
-    classify.add_argument("--seed", type=int, default=0)
-    classify.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker count for forest training and directory "
-             "sweeps; never changes predictions (default: 1)",
-    )
+    _add_training_flags(classify)
     classify.add_argument(
         "--cells", action="store_true",
         help="also print cell classes for mixed lines",
@@ -161,11 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--queue-size", type=int, default=256,
         help="submission queue bound — the backpressure knob "
              "(default: 256)",
-    )
-    serve.add_argument(
-        "--batch-files", type=int, default=32,
-        help="max requests coalesced into one engine batch "
-             "(default: 32)",
     )
     _add_ingest_flags(serve)
     _add_trace_flags(serve)
@@ -249,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_training_flags(subparser: argparse.ArgumentParser) -> None:
-    """The pipeline-training knobs shared by serve and dlq replay
-    (mirrors classify's flags and defaults)."""
+    """The pipeline-training knobs shared by classify, serve and dlq
+    replay."""
     subparser.add_argument(
         "--corpus", default="saus", choices=sorted(CORPUS_BUILDERS),
         help="training corpus personality (default: saus)",
@@ -436,7 +418,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             sweep_cache=args.sweep_cache,
             dlq=dlq,
             queue_size=args.queue_size,
-            batch_files=args.batch_files,
         )
     except ServeError as error:
         print(f"repro serve: {error}", file=sys.stderr)

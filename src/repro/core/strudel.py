@@ -128,16 +128,6 @@ def align_class_probabilities(
     return aligned
 
 
-#: Class objects by code (:data:`~repro.types.CLASS_CODES`), as an
-#: object array so a whole code vector maps to labels in one ``take``
-#: instead of a Python loop (the loop showed up in the cell-prediction
-#: profile).
-_CLASS_BY_CODE = np.array(
-    [CODE_TO_CLASS[code] for code in range(len(CODE_TO_CLASS))],
-    dtype=object,
-)
-
-
 def _codes_from(aligned: np.ndarray) -> np.ndarray:
     """Most probable class code (``int8``) per row of an aligned
     probability matrix."""
@@ -145,8 +135,9 @@ def _codes_from(aligned: np.ndarray) -> np.ndarray:
 
 
 def _classes_of(codes: np.ndarray) -> list[CellClass]:
-    """The :class:`CellClass` of each code."""
-    return _CLASS_BY_CODE.take(codes).tolist()
+    """The :class:`CellClass` of each code, decoded in one ``take``
+    (a Python loop here showed up in the cell-prediction profile)."""
+    return CODE_TO_CLASS.take(codes).tolist()
 
 
 def _apply_columns(

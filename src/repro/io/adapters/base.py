@@ -177,9 +177,16 @@ def read_source(
     A plain path reads directly (``OSError`` propagates, as for any
     missing file); a ``container!member`` locator re-enumerates the
     container and returns the matching payload — so the serve wire
-    can classify any source a sweep reported, by its provenance.
+    can classify any source a sweep reported, by its provenance.  A
+    container named without a member holds sources, not one table:
+    it raises :class:`~repro.errors.AdapterError`.
     """
     container, member = split_provenance(locator)
+    if member is None and is_container_name(container):
+        raise AdapterError(
+            f"{locator!r} is a container, not one table; name one of "
+            f"its sources as '{locator}{PROVENANCE_SEPARATOR}<member>'"
+        )
     data = Path(container).read_bytes()
     if member is None:
         return data

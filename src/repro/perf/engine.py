@@ -31,7 +31,10 @@ across ``n_jobs``, cache hits and misses is checkable with
 ``.tobytes()`` equality — the pinned guarantee that parallelism may
 change *when* work happens, never *what* it computes.
 
-Failure routing: a source that cannot be read or classified becomes a
+Every entry point speaks one outcome type: each source settles as a
+:class:`FileResult` or a :class:`SkipEntry`, from the worker that
+classifies it (or the read that failed before it) through the cache
+to the caller.  A source that cannot be read or classified becomes a
 :class:`SkipEntry` in the run's :class:`SweepReport` instead of
 aborting the sweep.  A worker killed mid-batch is recorded loudly,
 once per dead executor (``sweep.worker_crashes`` metric +
@@ -59,15 +62,21 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.dialect.dialect import Dialect
-from repro.errors import AdapterError, InvalidParameterError, NotFittedError
+from repro.errors import (
+    AdapterError,
+    DialectError,
+    InvalidParameterError,
+    NotFittedError,
+)
 from repro.io.adapters import FileAdapter
 from repro.io.ingest import IngestPolicy
 from repro.obs import get_metrics, get_tracer
 from repro.perf.pool import WorkerPool, effective_jobs
-# ``CLASS_CODES`` is re-exported (redundant alias): the benchmark
-# reads the code table from here.
+# The code tables are re-exported (redundant aliases): the benchmark
+# reads them from here.
 from repro.types import CLASS_CODES as CLASS_CODES
-from repro.types import CODE_TO_CLASS, CellClass
+from repro.types import CODE_TO_CLASS as CODE_TO_CLASS
+from repro.types import CellClass
 
 #: Aim for this many micro-batches per worker, so one slow shard
 #: cannot serialize the sweep's tail while keeping per-batch overhead
@@ -90,10 +99,11 @@ _MAX_BATCH_FILES = 64
 _MAX_BATCH_BYTES = 64 * 1024
 
 #: What a damaged ``.npz`` raises on load: truncated zip containers,
-#: bad headers, missing members.  Treated as a cache miss, never an
-#: error — the corrupt file is removed so it cannot poison anything.
+#: bad headers, missing members, a dialect member that is no dialect.
+#: Treated as a cache miss, never an error — the corrupt file is
+#: removed so it cannot poison anything.
 _CORRUPT_CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError,
-                         zipfile.BadZipFile)
+                         zipfile.BadZipFile, DialectError)
 
 
 def file_content_hash(data: bytes) -> str:
@@ -149,9 +159,10 @@ class FileResult:
 
     Arrays, not objects, so results are cheap to ship across process
     boundaries, round-trip losslessly through the ``.npz`` sweep cache
-    and compare byte-for-byte in the parity tests.  ``line_codes`` /
-    ``cell_codes`` hold :data:`~repro.types.CLASS_CODES` values;
-    decode through :meth:`line_classes` / :meth:`cell_classes`.
+    (:meth:`save` / :meth:`load`) and compare byte-for-byte in the
+    parity tests.  ``line_codes`` / ``cell_codes`` hold
+    :data:`~repro.types.CLASS_CODES` values; decode through
+    :meth:`line_classes` / :meth:`cell_classes`.
     """
 
     path: Path
@@ -174,18 +185,70 @@ class FileResult:
         """
         return str(self.path)
 
+    @classmethod
+    def of(cls, path: Path, result) -> "FileResult":
+        """A pipeline :class:`~repro.core.strudel.StructureResult` in
+        array form: its class codes as the pipeline computed them, its
+        dialect and its table's shape."""
+        return cls(
+            path=path,
+            dialect=result.dialect,
+            n_rows=result.table.n_rows,
+            n_cols=result.table.n_cols,
+            line_codes=result.line_codes,
+            cell_positions=result.cell_positions,
+            cell_codes=result.cell_codes,
+        )
+
+    def save(self, file) -> None:
+        """Write the five ``.npz`` members of a sweep-cache entry: the
+        three code arrays, the dialect's characters and the shape."""
+        np.savez(
+            file,
+            line_codes=self.line_codes,
+            cell_positions=self.cell_positions,
+            cell_codes=self.cell_codes,
+            dialect=np.array(
+                [
+                    self.dialect.delimiter,
+                    self.dialect.quotechar,
+                    self.dialect.escapechar,
+                ],
+                dtype=np.str_,
+            ),
+            shape=np.array([self.n_rows, self.n_cols], dtype=np.int64),
+        )
+
+    @classmethod
+    def load(cls, file, path: Path) -> "FileResult":
+        """The result :meth:`save` wrote to ``file``, for ``path``.
+        A damaged file raises what ``np.load`` raises on it, a
+        ``KeyError`` for a missing member or a
+        :class:`~repro.errors.DialectError` for a damaged dialect."""
+        with np.load(file) as archive:
+            dialect = archive["dialect"]
+            shape = archive["shape"]
+            return cls(
+                path=path,
+                dialect=Dialect(*map(str, dialect)),
+                n_rows=int(shape[0]),
+                n_cols=int(shape[1]),
+                line_codes=np.asarray(archive["line_codes"], dtype=np.int8),
+                cell_positions=np.asarray(
+                    archive["cell_positions"], dtype=np.int64
+                ).reshape(-1, 2),
+                cell_codes=np.asarray(archive["cell_codes"], dtype=np.int8),
+            )
+
     def line_classes(self) -> list[CellClass]:
         """Per-line classes, decoded to :class:`CellClass`."""
-        return list(map(CODE_TO_CLASS.__getitem__, self.line_codes.tolist()))
+        return CODE_TO_CLASS.take(self.line_codes).tolist()
 
     def cell_classes(self) -> dict[tuple[int, int], CellClass]:
         """Non-empty cell positions mapped to their classes."""
         rows, cols = self.cell_positions.T.tolist()
         return dict(
-            zip(
-                zip(rows, cols),
-                map(CODE_TO_CLASS.__getitem__, self.cell_codes.tolist()),
-            )
+            zip(zip(rows, cols), CODE_TO_CLASS.take(self.cell_codes).tolist())
         )
 
 
@@ -235,55 +298,6 @@ class SweepReport:
 
 
 # ----------------------------------------------------------------------
-# Result encoding (parent and workers share these, so every path —
-# inline, worker, cache hit — produces identical arrays)
-# ----------------------------------------------------------------------
-def _encode_structure(result) -> dict[str, np.ndarray]:
-    """A pipeline :class:`~repro.core.strudel.StructureResult` as
-    deterministic arrays: its class codes as the pipeline computed
-    them, plus the dialect and the table shape."""
-    dialect = np.array(
-        [
-            result.dialect.delimiter,
-            result.dialect.quotechar,
-            result.dialect.escapechar,
-        ],
-        dtype=np.str_,
-    )
-    shape = np.array(
-        [result.table.n_rows, result.table.n_cols], dtype=np.int64
-    )
-    return {
-        "line_codes": result.line_codes,
-        "cell_positions": result.cell_positions,
-        "cell_codes": result.cell_codes,
-        "dialect": dialect,
-        "shape": shape,
-    }
-
-
-def _decode_arrays(path: Path, arrays: dict) -> FileResult:
-    """Rebuild a :class:`FileResult` from encoded arrays."""
-    dialect = arrays["dialect"]
-    shape = arrays["shape"]
-    return FileResult(
-        path=path,
-        dialect=Dialect(
-            delimiter=str(dialect[0]),
-            quotechar=str(dialect[1]),
-            escapechar=str(dialect[2]),
-        ),
-        n_rows=int(shape[0]),
-        n_cols=int(shape[1]),
-        line_codes=np.asarray(arrays["line_codes"], dtype=np.int8),
-        cell_positions=np.asarray(
-            arrays["cell_positions"], dtype=np.int64
-        ).reshape(-1, 2),
-        cell_codes=np.asarray(arrays["cell_codes"], dtype=np.int8),
-    )
-
-
-# ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 #: Per-worker broadcast state, installed once by the pool initializer.
@@ -296,26 +310,28 @@ def _init_sweep_worker(payload: bytes) -> None:
     _WORKER_STATE = pickle.loads(payload)
 
 
-def _run_batch(pipeline, policy, batch):
-    """Classify one micro-batch in one
+def _run_batch(
+    pipeline, policy, batch: list[tuple[str, bytes]]
+) -> list["FileResult | SkipEntry"]:
+    """Classify one micro-batch of ``(name, bytes)`` files in one
     :meth:`~repro.core.strudel.StrudelPipeline.analyze_batch` call (one
-    predict per forest); per-file failures become markers.
+    predict per forest): one outcome per file, in batch order.
 
-    Returns ``(index, arrays_dict)`` per success and
-    ``(index, ("error", reason))`` per failure — a sweep over a messy
-    data lake must survive any single file.
+    A file the pipeline raises on becomes a ``"classify"``
+    :class:`SkipEntry` — a sweep over a messy data lake must survive
+    any single file.
     """
     results = pipeline.analyze_batch(
-        [data for _index, _name, data in batch], policy=policy
+        [data for _name, data in batch], policy=policy
     )
-    out = []
-    for (index, _name, _data), result in zip(batch, results):
-        if isinstance(result, Exception):
-            reason = f"{type(result).__name__}: {result}"
-            out.append((index, ("error", reason)))
-        else:
-            out.append((index, _encode_structure(result)))
-    return out
+    return [
+        SkipEntry(
+            Path(name), "classify", f"{type(result).__name__}: {result}"
+        )
+        if isinstance(result, Exception)
+        else FileResult.of(Path(name), result)
+        for (name, _data), result in zip(batch, results)
+    ]
 
 
 def _sweep_batch(batch):
@@ -400,11 +416,8 @@ class SweepCache:
         never poison every later sweep.
         """
         entry = self.directory / f"{key}.npz"
-        arrays: dict | None = None
         try:
-            with np.load(entry) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-            result = _decode_arrays(path, arrays)
+            result = FileResult.load(entry, path)
         except FileNotFoundError:
             result = None
         except _CORRUPT_CACHE_ERRORS:
@@ -423,7 +436,7 @@ class SweepCache:
         self._metrics.increment("sweep_cache.hits")
         return result
 
-    def store(self, key: str, arrays: dict[str, np.ndarray]) -> None:
+    def store(self, key: str, result: FileResult) -> None:
         """Write one entry atomically; evict oldest past the bound."""
         entry = self.directory / f"{key}.npz"
         if entry.exists():
@@ -433,7 +446,7 @@ class SweepCache:
         )
         try:
             with handle:
-                np.savez(handle, **arrays)
+                result.save(handle)
             os.replace(handle.name, entry)
         except BaseException:
             try:
@@ -478,9 +491,9 @@ class _Batch:
     """One micro-batch in the scheduler's queue.
 
     ``members`` are the batch's entries in input order: the
-    ``(index, name, data)`` files to classify, and the outcomes (cache
-    hits, read skips) of entries that arrived between them, which ride
-    along so the batch emits everything in input order.  A batch
+    ``(name, data)`` files to classify, and the outcomes (cache hits,
+    read skips) of entries that arrived between them, which ride along
+    so the batch emits everything in input order.  A batch
     handed to the pool carries its ``future`` and the ``executor``
     that took it; a batch without a future is computed inline when it
     reaches the front of the queue.
@@ -491,7 +504,7 @@ class _Batch:
     future: Future | None = None
 
     @property
-    def files(self) -> list[tuple[int, str, bytes]]:
+    def files(self) -> list[tuple[str, bytes]]:
         """The members to classify, as :func:`_run_batch` takes them."""
         return [m for m in self.members if isinstance(m, tuple)]
 
@@ -571,6 +584,12 @@ class CorpusEngine:
         """The model fingerprint sweeps are cached under."""
         return self._fingerprint
 
+    @property
+    def policy(self) -> IngestPolicy:
+        """The ingest policy every source is read and classified
+        under."""
+        return self._policy
+
     def close(self) -> None:
         """Shut down the warm workers (idempotent)."""
         if self._pool is not None:
@@ -607,23 +626,33 @@ class CorpusEngine:
         return run.collect(), run.report
 
     def process_payloads(
-        self, items: Sequence[tuple[str, bytes]]
+        self, items: Sequence["tuple[str, bytes] | SkipEntry"]
     ) -> tuple[list["FileResult | SkipEntry"], SweepReport]:
         """Classify in-memory payloads through the warm pool.
 
         The service front end's entry point: no filesystem access, no
-        container expansion, and the return value is a list **aligned
+        container expansion.  ``items`` are ``(name, bytes)`` payloads
+        or, for a source whose bytes could not be read, its ``"read"``
+        :class:`SkipEntry`.  The return value is a list **aligned
         with** ``items`` — a :class:`FileResult` per success, a
-        :class:`SkipEntry` per failure (stage ``"classify"`` or
-        ``"worker"``) — plus the run's :class:`SweepReport`.  The
-        payloads run through the same windowed scheduler as
+        :class:`SkipEntry` per failure (stage ``"read"``,
+        ``"classify"`` or ``"worker"``) — plus the run's
+        :class:`SweepReport`, which counts a read skip as a sweep does.
+        The payloads run through the same windowed scheduler as
         :meth:`sweep`, and the sweep cache is consulted and populated
         exactly as there, so a served payload and a swept file with
         the same bytes share one cache entry.
         """
-        entries = [(str(name), bytes(data)) for name, data in items]
+        entries = [
+            item if isinstance(item, SkipEntry)
+            else (str(item[0]), bytes(item[1]))
+            for item in items
+        ]
         report = SweepReport()
-        known_bytes = sum(len(data) for _name, data in entries)
+        known_bytes = sum(
+            len(entry[1]) for entry in entries
+            if not isinstance(entry, SkipEntry)
+        )
         outcomes = list(
             self._schedule(entries, known_bytes, len(entries), report)
         )
@@ -708,15 +737,15 @@ class CorpusEngine:
         inflight = 0  # batches on the pool, not yet emitted
         pooled = False
         batch: list = []  # the open batch's members
-        batch_bytes = batch_files = 0
+        batch_bytes = batch_len = 0
 
         def close_batch() -> None:
-            nonlocal batch, batch_bytes, batch_files, pooled
+            nonlocal batch, batch_bytes, batch_len, pooled
             item = _Batch(batch)
             queue.append(item)
             if not inline:
                 waiting.append(item)
-            batch, batch_bytes, batch_files = [], 0, 0
+            batch, batch_bytes, batch_len = [], 0, 0
             report.batches += 1
             self._metrics.increment("sweep.batches")
             # A second batch proves the run is bigger than one: from
@@ -745,7 +774,7 @@ class CorpusEngine:
 
         with tracer.span("sweep", n_files=n_inputs):
             try:
-                for index, entry in enumerate(entries):
+                for entry in entries:
                     report.files += 1
                     if isinstance(entry, SkipEntry):
                         settled = entry
@@ -755,12 +784,12 @@ class CorpusEngine:
                         size = len(entry[1])
                         if batch and batch_bytes + size > _MAX_BATCH_BYTES:
                             close_batch()
-                        batch.append((index, *entry))
+                        batch.append(entry)
                         batch_bytes += size
-                        batch_files += 1
+                        batch_len += 1
                         if (
                             batch_bytes >= budget
-                            or batch_files >= _MAX_BATCH_FILES
+                            or batch_len >= _MAX_BATCH_FILES
                         ):
                             close_batch()
                     elif batch:
@@ -834,48 +863,34 @@ class CorpusEngine:
         self, item: _Batch, report: SweepReport, tracer
     ) -> list["FileResult | SkipEntry"]:
         """One batch's outcomes in input order: riding outcomes as they
-        are, successes decoded and cached, failures ``"classify"``
-        skips, and every file of a batch whose worker died a
-        ``"worker"`` casualty."""
+        are, the batch's own as :func:`_run_batch` gave them (successes
+        cached), or every file a ``"worker"`` casualty when its worker
+        died."""
         files = item.files
-        token = files if item.future is None else item.future
-        crash = None
         try:
             with tracer.span("sweep_batch", n_files=len(files)):
-                results = dict(self._resolve(token))
+                computed = self._resolve(item)
         except (BrokenProcessPool, CancelledError) as exc:
             self._worker_died(item.executor, exc, report)
-            crash = (
-                f"worker crashed mid-batch ({type(exc).__name__}: {exc})"
-            )
-            results = {}
-        settled: list[FileResult | SkipEntry] = []
-        for member in item.members:
-            if not isinstance(member, tuple):
-                settled.append(member)  # a hit or skip riding along
-                continue
-            index, name, data = member
-            outcome = results.get(index)
-            if crash is not None:
-                settled.append(SkipEntry(Path(name), "worker", crash))
-            elif isinstance(outcome, dict):
-                if self.cache is not None:
+            crash = f"worker crashed mid-batch ({type(exc).__name__}: {exc})"
+            computed = [
+                SkipEntry(Path(name), "worker", crash) for name, _data in files
+            ]
+        if self.cache is not None:
+            for (_name, data), outcome in zip(files, computed):
+                if isinstance(outcome, FileResult):
                     self.cache.store(self._cache_key(data), outcome)
-                settled.append(_decode_arrays(Path(name), outcome))
-            else:
-                reason = (
-                    outcome[1]
-                    if isinstance(outcome, tuple)
-                    else "no result returned for file"
-                )
-                settled.append(SkipEntry(Path(name), "classify", reason))
-        return settled
+        ordered = iter(computed)
+        return [
+            next(ordered) if isinstance(member, tuple) else member
+            for member in item.members
+        ]
 
-    def _resolve(self, token):
-        """Batch results from a token: future, or inline work list."""
-        if isinstance(token, Future):
-            return token.result()
-        return _run_batch(self._pipeline, self._policy, token)
+    def _resolve(self, item: _Batch) -> list["FileResult | SkipEntry"]:
+        """A batch's own outcomes: its future's, or computed inline."""
+        if item.future is None:
+            return _run_batch(self._pipeline, self._policy, item.files)
+        return item.future.result()
 
     def _worker_died(
         self,

@@ -7,7 +7,7 @@ durable, replayable :class:`DeadLetterQueue` so no failure is ever
 silent.  See ``docs/serving.md``.
 """
 
-from repro.serve.client import ServiceClient, TcpServiceClient, connect
+from repro.serve.client import TcpServiceClient, connect
 from repro.serve.dlq import (
     DLQ_SCHEMA,
     DeadLetter,
@@ -39,7 +39,6 @@ __all__ = [
     "DeadLetterQueue",
     "ReplayReport",
     "ServeRequest",
-    "ServiceClient",
     "TcpServiceClient",
     "connect",
     "decode_request",

@@ -1,18 +1,13 @@
-"""Clients for the classification service.
+"""The TCP client for the classification service.
 
-Two shapes, one protocol:
-
-* :class:`ServiceClient` wraps an in-process
-  :class:`~repro.serve.service.ClassificationService` — no sockets,
-  no serialization, results arrive as live
-  :class:`~repro.perf.engine.FileResult` objects.  This is what
-  embedding applications and the in-process service tests use.
-* :func:`connect` opens a TCP connection speaking ``repro-serve/1``
-  and returns a :class:`TcpServiceClient` whose classify calls return
-  decoded response dicts (use
-  :func:`~repro.serve.protocol.result_from_payload` to rebuild the
-  arrays).  This is what the tests and the CI smoke job drive the
-  served process with.
+:func:`connect` opens a TCP connection speaking ``repro-serve/1`` and
+returns a :class:`TcpServiceClient` whose classify calls return
+decoded response dicts (use
+:func:`~repro.serve.protocol.result_from_payload` to rebuild the
+arrays).  In-process callers need no client: they await
+:meth:`~repro.serve.service.ClassificationService.submit_path` /
+:meth:`~repro.serve.service.ClassificationService.submit_bytes`
+directly and get live :class:`~repro.perf.engine.FileResult` objects.
 """
 
 from __future__ import annotations
@@ -21,36 +16,11 @@ import asyncio
 import itertools
 from pathlib import Path
 
-from repro.perf.engine import FileResult, SkipEntry
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     decode_response,
     encode_request,
 )
-from repro.serve.service import ClassificationService
-
-
-class ServiceClient:
-    """In-process client: the service API, without the wire."""
-
-    def __init__(self, service: ClassificationService):
-        self._service = service
-
-    async def classify_path(
-        self, path: str | Path
-    ) -> "FileResult | SkipEntry":
-        """Classify a file the service can read from disk."""
-        return await self._service.submit_path(path)
-
-    async def classify_bytes(
-        self, data: bytes, name: str = "<bytes>"
-    ) -> "FileResult | SkipEntry":
-        """Classify raw bytes under a display name."""
-        return await self._service.submit_bytes(data, name=name)
-
-    def stats(self) -> dict:
-        """The service's live counters."""
-        return self._service.stats()
 
 
 class TcpServiceClient:

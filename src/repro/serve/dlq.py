@@ -15,6 +15,12 @@ Record shape::
      "stage": "classify", "reason": "...", "payload_sha256": "ab12...",
      "timestamp": "2026-08-08T12:00:00+00:00", "replays": 0}
 
+``source`` is what :func:`resolve_entry` reads again: the path (or
+``container!member`` locator) of a path request, the display name of
+a bytes request, whose bytes are parked.  The service and replay turn
+a request or a record into an engine entry through that one resolver,
+so a record replays exactly as the service read it.
+
 ``timestamp`` comes from an injectable ``clock`` callable (defaulting
 to UTC ``datetime.now``), so tests pin byte-exact records; the repo's
 determinism rules stay intact.  Replay rewrites ``records.ndjson``
@@ -36,8 +42,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from repro.errors import ReproError
+from repro.io.adapters import read_source
 from repro.obs import get_metrics, get_tracer
-from repro.perf.engine import CorpusEngine, FileResult
+from repro.perf.engine import CorpusEngine, FileResult, SkipEntry
 
 #: Dead-letter record schema identifier, written into every record.
 DLQ_SCHEMA = "repro-dlq/1"
@@ -52,6 +60,41 @@ RECORD_FIELDS = (
 def _utc_timestamp() -> str:
     """The default clock: an ISO-8601 UTC wall timestamp."""
     return datetime.now(timezone.utc).isoformat()
+
+
+def resolve_entry(
+    engine: CorpusEngine, name: str, source: bytes | str
+) -> "tuple[str, bytes] | SkipEntry":
+    """One payload source as an engine entry: bytes as they are, or a
+    path (or ``container!member`` locator) read through
+    :func:`~repro.io.adapters.read_source` under the engine's policy.
+    ``name`` labels the result; a source that cannot be read becomes
+    a ``"read"`` :class:`SkipEntry` instead of raising.
+    """
+    if isinstance(source, bytes):
+        return name, source
+    try:
+        return name, read_source(source, policy=engine.policy)
+    except (OSError, ReproError) as exc:
+        return SkipEntry(Path(source), "read", f"{type(exc).__name__}: {exc}")
+
+
+def _write_atomically(target: Path, data: bytes) -> None:
+    """Write ``target`` through a temp file and ``os.replace``: a crash
+    mid-write leaves the old file or none, never a torn one."""
+    fd, temp_name = tempfile.mkstemp(
+        dir=target.parent, prefix=f"{target.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp_name, target)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass(frozen=True)
@@ -155,9 +198,11 @@ class DeadLetterQueue:
     ) -> DeadLetter:
         """Record one failure durably; returns the written record.
 
-        The payload (when the bytes exist) is stored under its sha256
-        before the journal line is appended, so a record on disk
-        always points at a payload that is also on disk.
+        The payload (when the bytes exist) is stored under its sha256,
+        atomically, before the journal line is appended, so a record
+        on disk always points at a whole payload that is also on disk.
+        A parked file whose bytes do not hash to its name (torn by a
+        crash before writes were atomic) is written again.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         sha: str | None = None
@@ -165,8 +210,12 @@ class DeadLetterQueue:
             sha = hashlib.sha256(payload).hexdigest()
             self._payload_dir.mkdir(parents=True, exist_ok=True)
             payload_path = self._payload_dir / f"{sha}.bin"
-            if not payload_path.exists():
-                payload_path.write_bytes(payload)
+            try:
+                parked = hashlib.sha256(payload_path.read_bytes()).hexdigest()
+            except OSError:
+                parked = None
+            if parked != sha:
+                _write_atomically(payload_path, payload)
         record = DeadLetter(
             request_id=request_id,
             source=source,
@@ -220,25 +269,13 @@ class DeadLetterQueue:
         """Atomically rewrite the journal to exactly ``records`` and
         prune payload files nothing references anymore."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(
-            dir=self.directory, prefix="records.", suffix=".tmp"
+        _write_atomically(
+            self._records_path,
+            "".join(
+                json.dumps(record.as_dict(), sort_keys=True) + "\n"
+                for record in records
+            ).encode("utf-8"),
         )
-        try:
-            with os.fdopen(
-                fd, "w", encoding="utf-8", newline="\n"
-            ) as handle:
-                for record in records:
-                    handle.write(
-                        json.dumps(record.as_dict(), sort_keys=True)
-                        + "\n"
-                    )
-            os.replace(temp_name, self._records_path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
         self._prune_payloads(records)
 
     def purge(self) -> int:
@@ -294,10 +331,12 @@ def replay_dead_letters(
     queue: recovered records are removed, still-dead records stay with
     ``replays`` bumped and the fresh failure reason, records whose
     bytes cannot be materialized (no payload file *and* the source
-    path is unreadable) are kept untouched as unreplayable.
+    cannot be read) are kept untouched as unreplayable.
 
-    This is deliberately the same substrate the live service uses
-    (:meth:`CorpusEngine.process_payloads`), so "it recovers on
+    This is deliberately the service's own path: each record becomes
+    an engine entry through :func:`resolve_entry` (its parked payload,
+    or its ``source`` read as the service read it) and all of them go
+    through :meth:`CorpusEngine.process_payloads`, so "it recovers on
     replay" means "the service would accept it now".
     """
     tracer = get_tracer()
@@ -305,48 +344,40 @@ def replay_dead_letters(
     with tracer.span("serve.replay", n_records=len(queue)):
         records = queue.records()
         report = ReplayReport(total=len(records))
-        # outcome per record: None = unreplayable (kept untouched)
-        outcomes: list[DeadLetter | None] = [None] * len(records)
-        items: list[tuple[int, bytes]] = []
-        for index, record in enumerate(records):
-            if record.stage == "protocol":
-                # The payload is a raw wire line, not CSV bytes; only
-                # the client can re-send it correctly formed.
+        # What the queue keeps, by record; ``None`` once recovered.
+        kept: list[DeadLetter | None] = list(records)
+        # A protocol record's payload is a raw wire line, not CSV
+        # bytes; only the client can re-send it correctly formed.
+        indices = [
+            index for index, record in enumerate(records)
+            if record.stage != "protocol"
+        ]
+        report.unreplayable = len(records) - len(indices)
+        entries = []
+        for index in indices:
+            record = records[index]
+            data = queue.payload(record)
+            entries.append(resolve_entry(
+                engine, record.source, record.source if data is None else data
+            ))
+        outcomes, _sweep = engine.process_payloads(entries)
+        for index, entry, outcome in zip(indices, entries, outcomes):
+            if isinstance(entry, SkipEntry):
                 report.unreplayable += 1
                 continue
-            data = queue.payload(record)
-            if data is None:
-                # read-stage failures park no payload; the source
-                # path may have become readable since.
-                try:
-                    data = Path(record.source).read_bytes()
-                except OSError:
-                    report.unreplayable += 1
-                    continue
-            items.append((index, data))
-        results, _sweep = engine.process_payloads(
-            [(records[index].source, data) for index, data in items]
-        )
-        recovered: set[int] = set()
-        for (index, _data), outcome in zip(items, results):
             report.replayed += 1
             metrics.increment("serve.replays")
             if isinstance(outcome, FileResult):
                 report.recovered += 1
-                recovered.add(index)
+                kept[index] = None
             else:
                 report.still_dead += 1
-                outcomes[index] = replace(
+                kept[index] = replace(
                     records[index],
                     stage=outcome.stage,
                     reason=outcome.reason,
                     timestamp=queue.now(),
                     replays=records[index].replays + 1,
                 )
-        keep = [
-            outcomes[index] or record
-            for index, record in enumerate(records)
-            if index not in recovered
-        ]
-        queue.replace(keep)
+        queue.replace([record for record in kept if record is not None])
     return report

@@ -63,12 +63,10 @@ MAX_LINE_BYTES = 32 * 1024 * 1024
 #: The operations a request may name.
 OPERATIONS = ("classify", "ping", "stats")
 
-#: Wire name of each class code, as an object array so a whole code
-#: vector renders in one ``take``.
-_CODE_NAMES = np.array(
-    [CODE_TO_CLASS[code].value for code in range(len(CODE_TO_CLASS))],
-    dtype=object,
-)
+#: Wire name of each class code, read off the one code-to-class
+#: table, as an object array so a whole code vector renders in one
+#: ``take``.
+_CODE_NAMES = np.array([cls.value for cls in CODE_TO_CLASS], dtype=object)
 
 #: Class code of each wire name.
 _NAME_CODES: dict[str, int] = {
@@ -102,7 +100,9 @@ class ServeRequest:
 
     @property
     def display_name(self) -> str:
-        """What to call this payload in results and dead letters."""
+        """What to call this payload in results.  A dead letter
+        records a path request by its ``path``, which replay reads
+        again, and a bytes request by this name."""
         if self.name:
             return self.name
         if self.path:

@@ -9,7 +9,11 @@ through the in-process API (:meth:`submit_path` /
 (``asyncio.start_server`` + the ``repro-serve/1`` protocol), are
 coalesced into micro-batches by a single batcher coroutine, and run
 through the engine in an executor thread so the event loop never
-blocks on classification.
+blocks on classification.  A request becomes an engine entry through
+:func:`~repro.serve.dlq.resolve_entry` (raw bytes as sent, a path or
+``container!member`` locator read through the adapters), and the
+engine's :meth:`~repro.perf.engine.CorpusEngine.process_payloads`
+returns one outcome per entry, read failures included.
 
 Flow control is explicit end to end: the submission queue is a
 ``asyncio.Queue(maxsize=queue_size)``, so ``await``-ing a submit *is*
@@ -37,12 +41,11 @@ import signal
 import sys
 from pathlib import Path
 
-from repro.errors import ProtocolError, ReproError, ServeError
-from repro.io.adapters import read_source
+from repro.errors import ProtocolError, ServeError
 from repro.io.ingest import IngestPolicy
 from repro.obs import get_metrics, get_tracer
 from repro.perf.engine import CorpusEngine, FileResult, SkipEntry
-from repro.serve.dlq import DeadLetter, DeadLetterQueue
+from repro.serve.dlq import DeadLetter, DeadLetterQueue, resolve_entry
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ServeRequest,
@@ -53,24 +56,8 @@ from repro.serve.protocol import (
 )
 
 
-class _Pending:
-    """One queued request: its payload source and its waiter."""
-
-    __slots__ = ("request_id", "name", "path", "data", "future")
-
-    def __init__(
-        self,
-        request_id: str,
-        name: str,
-        path: str | None,
-        data: bytes | None,
-        future: "asyncio.Future",
-    ):
-        self.request_id = request_id
-        self.name = name
-        self.path = path
-        self.data = data
-        self.future = future
+#: Most queued requests the batcher coalesces into one engine call.
+_BATCH_FILES = 32
 
 
 class ClassificationService:
@@ -94,8 +81,6 @@ class ClassificationService:
         :class:`SkipEntry` but leave no durable trace.
     queue_size:
         Submission queue bound (the backpressure knob); must be >= 1.
-    batch_files:
-        Most payloads the batcher coalesces into one engine call.
     """
 
     def __init__(
@@ -106,21 +91,17 @@ class ClassificationService:
         sweep_cache: str | Path | None = None,
         dlq: DeadLetterQueue | None = None,
         queue_size: int = 256,
-        batch_files: int = 32,
     ):
         if queue_size < 1:
             raise ServeError("queue_size must be >= 1")
-        if batch_files < 1:
-            raise ServeError("batch_files must be >= 1")
-        self._policy = policy or IngestPolicy()
         self._engine = CorpusEngine(
-            pipeline, n_jobs=n_jobs, policy=self._policy,
-            cache_dir=sweep_cache,
+            pipeline, n_jobs=n_jobs, policy=policy, cache_dir=sweep_cache,
         )
         self.dlq = dlq
         self._queue_size = queue_size
-        self._batch_files = batch_files
-        self._queue: "asyncio.Queue[_Pending] | None" = None
+        self._queue: (
+            "asyncio.Queue[tuple[ServeRequest, asyncio.Future]] | None"
+        ) = None
         self._batcher: "asyncio.Task | None" = None
         self._server: "asyncio.base_events.Server | None" = None
         self._accepting = False
@@ -261,14 +242,10 @@ class ClassificationService:
         future: "asyncio.Future" = (
             asyncio.get_running_loop().create_future()
         )
-        item = _Pending(
-            request_id=request_id,
-            name=name or path or f"<bytes:{request_id}>",
-            path=path,
-            data=data,
-            future=future,
+        request = ServeRequest(
+            request_id, "classify", path=path, data=data, name=name
         )
-        await self._queue.put(item)
+        await self._queue.put((request, future))
         return future
 
     # ------------------------------------------------------------------
@@ -278,29 +255,33 @@ class ClassificationService:
         """Coalesce queued requests into engine-sized batches.
 
         One batch per wakeup: whatever is already waiting (up to
-        ``batch_files``), never an artificial delay — latency under
-        light load, batching under heavy load.
+        :data:`_BATCH_FILES`), never an artificial delay — latency
+        under light load, batching under heavy load.
         """
         assert self._queue is not None
         while True:
             batch = [await self._queue.get()]
-            while len(batch) < self._batch_files:
+            while len(batch) < _BATCH_FILES:
                 try:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
             await self._process_batch(batch)
 
-    async def _process_batch(self, batch: "list[_Pending]") -> None:
+    async def _process_batch(
+        self, batch: "list[tuple[ServeRequest, asyncio.Future]]"
+    ) -> None:
         """Run one batch through the engine (off-loop) and settle
         every waiter; drain accounting happens in ``finally`` so a
         crashed batch can never wedge ``queue.join()``."""
         loop = asyncio.get_running_loop()
         try:
-            settled = await loop.run_in_executor(
-                None, self._work, batch
+            entries, outcomes = await loop.run_in_executor(
+                None, self._work, [request for request, _ in batch]
             )
-            for item, (outcome, payload) in zip(batch, settled):
+            for (request, future), entry, outcome in zip(
+                batch, entries, outcomes
+            ):
                 record = None
                 if isinstance(outcome, FileResult):
                     self._results += 1
@@ -309,22 +290,30 @@ class ClassificationService:
                     self._dead_letters += 1
                     if self.dlq is not None:
                         # DeadLetterQueue.append owns the
-                        # serve.dead_letters metric increment.
+                        # serve.dead_letters metric increment.  A path
+                        # request is recorded by its path, which
+                        # replay resolves again; bytes are parked.
                         record = self.dlq.append(
-                            request_id=item.request_id,
-                            source=item.name,
+                            request_id=request.id,
+                            source=(
+                                request.display_name if request.path is None
+                                else request.path
+                            ),
                             stage=outcome.stage,
                             reason=outcome.reason,
-                            payload=payload,
+                            payload=(
+                                None if isinstance(entry, SkipEntry)
+                                else entry[1]
+                            ),
                         )
                     else:
                         self._metrics.increment("serve.dead_letters")
-                if not item.future.cancelled():
-                    item.future.set_result((outcome, record))
+                if not future.cancelled():
+                    future.set_result((outcome, record))
         except (asyncio.CancelledError, Exception) as exc:
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(
+            for _request, future in batch:
+                if not future.done():
+                    future.set_exception(
                         ServeError(
                             f"batch failed before settling: "
                             f"{type(exc).__name__}: {exc}"
@@ -333,57 +322,30 @@ class ClassificationService:
             if isinstance(exc, asyncio.CancelledError):
                 raise
         finally:
-            for item in batch:
+            for _ in batch:
                 self._inflight -= 1
                 self._queue.task_done()
             self._metrics.gauge("serve.inflight", self._inflight)
 
     def _work(
-        self, batch: "list[_Pending]"
-    ) -> "list[tuple[FileResult | SkipEntry, bytes | None]]":
-        """The synchronous half, run in an executor thread: read path
-        payloads, push everything through the engine, align the
-        outcomes.  Returns ``(outcome, payload_bytes)`` per item —
-        the bytes ride along so failures can be dead-lettered with
-        their payload (``None`` when the bytes never materialized)."""
-        tracer = get_tracer()
-        with tracer.span("serve.batch", n_files=len(batch)):
-            prepared: "list[SkipEntry | tuple[str, bytes]]" = []
-            for item in batch:
-                if item.data is not None:
-                    prepared.append((item.name, item.data))
-                    continue
-                try:
-                    # Path payloads resolve through the adapter
-                    # layer, so a provenance locator a sweep reported
-                    # (``archive.zip!member.csv``) is classifiable
-                    # over the wire exactly like a loose path.
-                    data = read_source(
-                        item.path or "", policy=self._policy
-                    )
-                except (OSError, ReproError) as exc:
-                    prepared.append(
-                        SkipEntry(
-                            Path(item.path or ""),
-                            "read",
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    continue
-                prepared.append((item.name, data))
-            work = [
-                entry for entry in prepared if isinstance(entry, tuple)
+        self, requests: "list[ServeRequest]"
+    ) -> "tuple[list, list[FileResult | SkipEntry]]":
+        """The synchronous half, run in an executor thread: each
+        request becomes an engine entry (:func:`resolve_entry`), and
+        one engine call classifies them all.  Returns the entries —
+        their bytes ride along so failures are dead-lettered with
+        their payload — and the outcomes aligned with them."""
+        with get_tracer().span("serve.batch", n_files=len(requests)):
+            entries = [
+                resolve_entry(
+                    self._engine,
+                    request.display_name,
+                    request.path if request.data is None else request.data,
+                )
+                for request in requests
             ]
-            results, _report = self._engine.process_payloads(work)
-            outcomes = iter(results)
-            settled: "list[tuple[FileResult | SkipEntry, bytes | None]]"
-            settled = []
-            for entry in prepared:
-                if isinstance(entry, tuple):
-                    settled.append((next(outcomes), entry[1]))
-                else:
-                    settled.append((entry, None))
-            return settled
+            outcomes, _report = self._engine.process_payloads(entries)
+            return entries, outcomes
 
     # ------------------------------------------------------------------
     # The TCP front end

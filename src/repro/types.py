@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import AnnotationError
 
 
@@ -62,14 +64,21 @@ CONTENT_CLASSES: tuple[CellClass, ...] = (
 CLASS_TO_INDEX: dict[CellClass, int] = {c: i for i, c in enumerate(CONTENT_CLASSES)}
 INDEX_TO_CLASS: dict[int, CellClass] = {i: c for c, i in CLASS_TO_INDEX.items()}
 
-#: Integer codes of predicted classes: the content-class index, plus
-#: ``EMPTY`` = 6.  ``EMPTY`` has no index in :data:`CLASS_TO_INDEX`
-#: (it is not a content class), but line predictions emit it for blank
-#: lines, so the arrays of a classified file need a code for it.
+#: The class of each predicted-class code: the content-class index,
+#: plus ``EMPTY`` = 6.  ``EMPTY`` has no index in
+#: :data:`CLASS_TO_INDEX` (it is not a content class), but line
+#: predictions emit it for blank lines, so the arrays of a classified
+#: file need a code for it.  The one code-to-class table: an object
+#: array, so ``CODE_TO_CLASS[code]`` decodes one code and
+#: ``CODE_TO_CLASS.take(codes)`` a whole code array in one call.
+CODE_TO_CLASS: np.ndarray = np.array(
+    [*CONTENT_CLASSES, CellClass.EMPTY], dtype=object
+)
+CODE_TO_CLASS.setflags(write=False)
+#: The code of each class, the inverse of :data:`CODE_TO_CLASS`.
 CLASS_CODES: dict[CellClass, int] = {
-    **CLASS_TO_INDEX, CellClass.EMPTY: len(CONTENT_CLASSES)
+    c: i for i, c in enumerate(CODE_TO_CLASS)
 }
-CODE_TO_CLASS: dict[int, CellClass] = {i: c for c, i in CLASS_CODES.items()}
 
 
 class DataType(IntEnum):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 import tarfile
 import zipfile
 
@@ -285,6 +286,24 @@ class TestReadSource:
     def test_missing_container_propagates_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_source(str(tmp_path / "gone.zip") + "!m.csv")
+
+    @pytest.mark.parametrize("name", ["arch.zip", "arch.tar", "log.ndjson"])
+    def test_container_without_member_raises_typed(self, tmp_path, name):
+        """A container holds sources, not one table: its raw bytes are
+        never returned as a payload, and the error shows the locator
+        form that names one of its sources."""
+        container = tmp_path / name
+        container.write_bytes(
+            _zip_bytes({"a.csv": b"a,b\n", "b.csv": b"c,d\n"})
+            if name.endswith(".zip")
+            else _tar_bytes({"a.csv": b"a,b\n"})
+            if name.endswith(".tar")
+            else b'{"a": 1}\n'
+        )
+        with pytest.raises(
+            AdapterError, match=re.escape(f"{container}!<member>")
+        ):
+            read_source(str(container))
 
 
 @pytest.fixture(scope="module")

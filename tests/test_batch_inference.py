@@ -7,13 +7,17 @@ replaced, kept verbatim: ``per_file_classify`` (the pipeline tail that
 called each forest once per table), ``per_file_analyze_bytes`` (ingest,
 crop, classify one payload) and ``per_file_run_batch`` (the engine's
 loop of one call per payload, with its ``"{type}: {message}"`` error
-text).  Every comparison is down to ``np.save`` bytes: dtype, shape,
-memory order and data.
+text), which encode results with ``legacy_structure_arrays`` from
+``tests/test_result_arrays.py``.  Every comparison is down to
+``np.save`` bytes: dtype, shape, memory order and data; the engine's
+outcomes are compared through the members their cache entries hold,
+and its skips by their reason text.
 """
 
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +35,13 @@ from repro.io.ingest import IngestPolicy, ingest_bytes
 from repro.io.writer import write_csv_text
 from repro.obs import Tracer, activate
 from repro.perf import engine as engine_mod
-from repro.perf.engine import CorpusEngine, FileResult, _encode_structure
+from repro.perf.engine import CorpusEngine, FileResult, SkipEntry
 from repro.types import Table
-from tests.test_result_arrays import EDGE_BYTES
+from tests.test_result_arrays import (
+    EDGE_BYTES,
+    legacy_structure_arrays,
+    saved_arrays,
+)
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +77,7 @@ def per_file_run_batch(pipeline, policy, batch):
     out = []
     for index, _name, data in batch:
         try:
-            encoded = _encode_structure(
+            encoded = legacy_structure_arrays(
                 per_file_analyze_bytes(pipeline, data, policy=policy)
             )
         except Exception as exc:
@@ -119,6 +127,26 @@ def _assert_same_arrays(got: dict, want: dict, name: str) -> None:
         assert _npy(got[key]) == _npy(want[key]), (name, key)
 
 
+def _files(batch: list[tuple[int, str, bytes]]) -> list[tuple[str, bytes]]:
+    """The ``(name, data)`` files ``_run_batch`` takes."""
+    return [(name, data) for _index, name, data in batch]
+
+
+def _assert_same_outcome(got, want: tuple, name: str) -> None:
+    """One ``_run_batch`` outcome against the per-file loop's
+    ``(index, arrays)`` or ``(index, ("error", reason))``."""
+    _index, expected = want
+    if isinstance(expected, tuple):
+        assert isinstance(got, SkipEntry), name
+        assert (got.path, got.stage, got.reason) == (
+            Path(name), "classify", expected[1]
+        )
+    else:
+        assert isinstance(got, FileResult), name
+        assert got.path == Path(name)
+        _assert_same_arrays(saved_arrays(got), expected, name)
+
+
 def _marked(text: str) -> bytes:
     return f"{text},Q1\nRegion,5\nNorth,6\n".encode("utf-8")
 
@@ -162,10 +190,12 @@ def test_batch_matches_one_file_at_a_time(pipeline, payloads):
     assert len(results) == len(names)
     for name, result in zip(names, results):
         assert isinstance(result, StructureResult), name
-        got = _encode_structure(result)
-        want = _encode_structure(per_file_analyze_bytes(pipeline, payloads[name]))
+        got = legacy_structure_arrays(result)
+        want = legacy_structure_arrays(
+            per_file_analyze_bytes(pipeline, payloads[name])
+        )
         _assert_same_arrays(got, want, name)
-        single = _encode_structure(pipeline.analyze_bytes(payloads[name]))
+        single = legacy_structure_arrays(pipeline.analyze_bytes(payloads[name]))
         _assert_same_arrays(single, want, name)
         assert result.ingest == pipeline.analyze_bytes(payloads[name]).ingest
 
@@ -182,19 +212,19 @@ def test_batch_of_reordered_payloads_gives_the_same_results(
     )))
     for name in names:
         _assert_same_arrays(
-            _encode_structure(backward[name]),
-            _encode_structure(forward[name]),
+            legacy_structure_arrays(backward[name]),
+            legacy_structure_arrays(forward[name]),
             name,
         )
 
 
 def test_engine_batch_matches_the_per_file_loop(pipeline, payloads):
     batch = [(i, name, data) for i, (name, data) in enumerate(payloads.items())]
-    got = engine_mod._run_batch(pipeline, IngestPolicy(), batch)
+    got = engine_mod._run_batch(pipeline, IngestPolicy(), _files(batch))
     want = per_file_run_batch(pipeline, IngestPolicy(), batch)
-    assert [index for index, _ in got] == [index for index, _ in want]
-    for (index, arrays), (_, expected) in zip(got, want):
-        _assert_same_arrays(arrays, expected, batch[index][1])
+    assert len(got) == len(want) == len(batch)
+    for outcome, expected, (_, name, _) in zip(got, want, batch):
+        _assert_same_outcome(outcome, expected, name)
 
 
 def test_a_batch_makes_one_call_per_forest(pipeline, payloads):
@@ -232,15 +262,14 @@ def test_failures_stay_with_their_payload(pipeline, payloads, monkeypatch):
     good = [payloads[n] for n in sorted(payloads) if n.startswith("saus/")]
     datas = [good[0], b"\xff\xfe\x00\xd8", good[1], _marked("explode"), good[2]]
     batch = [(i, f"p{i}", data) for i, data in enumerate(datas)]
-    got = engine_mod._run_batch(pipeline, strict, batch)
+    got = engine_mod._run_batch(pipeline, strict, _files(batch))
     want = per_file_run_batch(pipeline, strict, batch)
-    assert got[1] == want[1]
-    assert got[1][1][1].startswith("EncodingError: ")
-    assert got[3] == want[3] == (
+    assert got[1].reason.startswith("EncodingError: ")
+    assert want[3] == (
         3, ("error", "RuntimeError: cell extraction failed on purpose")
     )
-    for i in (0, 2, 4):
-        _assert_same_arrays(got[i][1], want[i][1], f"p{i}")
+    for i in range(5):
+        _assert_same_outcome(got[i], want[i], f"p{i}")
     with pytest.raises(RuntimeError, match="on purpose"):
         pipeline.analyze_bytes(_marked("explode"))
 
@@ -270,11 +299,11 @@ def test_a_stacked_predict_failure_fails_only_its_table(
     good = [payloads[n] for n in sorted(payloads) if n.startswith("troy/")]
     datas = [good[0], poison, good[1]]
     batch = [(i, f"p{i}", data) for i, data in enumerate(datas)]
-    got = engine_mod._run_batch(pipeline, IngestPolicy(), batch)
+    got = engine_mod._run_batch(pipeline, IngestPolicy(), _files(batch))
     want = per_file_run_batch(pipeline, IngestPolicy(), batch)
-    assert got[1] == want[1] == (1, ("error", "ValueError: poisoned cell row"))
-    for i in (0, 2):
-        _assert_same_arrays(got[i][1], want[i][1], f"p{i}")
+    assert want[1] == (1, ("error", "ValueError: poisoned cell row"))
+    for i in range(3):
+        _assert_same_outcome(got[i], want[i], f"p{i}")
 
 
 # ----------------------------------------------------------------------

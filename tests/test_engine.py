@@ -23,6 +23,7 @@ import pytest
 
 import repro.perf.engine as engine_mod
 from repro.core.strudel import StrudelPipeline
+from repro.dialect.dialect import Dialect
 from repro.errors import InvalidParameterError, NotFittedError
 from repro.io.ingest import IngestPolicy
 from repro.io.writer import write_csv_text
@@ -51,7 +52,7 @@ _REAL_SWEEP_BATCH = engine_mod._sweep_batch
 def _crash_on_marker(batch):
     """Test double for ``_sweep_batch``: kill the worker outright when
     the batch contains the marker file, else do the real work."""
-    if any("crashme" in name for _, name, _ in batch):
+    if any("crashme" in name for name, _ in batch):
         os._exit(13)
     return _REAL_SWEEP_BATCH(batch)
 
@@ -156,14 +157,16 @@ def test_policy_fingerprint_distinguishes_policies():
 # ----------------------------------------------------------------------
 # SweepCache
 # ----------------------------------------------------------------------
-def _fake_entry(seed: int) -> dict[str, np.ndarray]:
-    return {
-        "line_codes": np.array([seed % 7, 3], dtype=np.int8),
-        "cell_positions": np.zeros((0, 2), dtype=np.int64),
-        "cell_codes": np.zeros(0, dtype=np.int8),
-        "dialect": np.array([",", '"', ""], dtype=np.str_),
-        "shape": np.array([2, 2], dtype=np.int64),
-    }
+def _fake_entry(seed: int) -> FileResult:
+    return FileResult(
+        path=Path("f.csv"),
+        dialect=Dialect(","),
+        n_rows=2,
+        n_cols=2,
+        line_codes=np.array([seed % 7, 3], dtype=np.int8),
+        cell_positions=np.zeros((0, 2), dtype=np.int64),
+        cell_codes=np.zeros(0, dtype=np.int8),
+    )
 
 
 def test_sweep_cache_entry_key_covers_all_three_parts():
@@ -195,6 +198,26 @@ def test_sweep_cache_roundtrip_and_corrupt_entry_quarantine(tmp_path):
     assert cache.load(key, tmp_path / "f.csv") is not None
     stats = cache.stats()
     assert stats["hits"] == 2 and stats["misses"] == 2
+
+
+def test_sweep_cache_quarantines_an_entry_with_a_damaged_dialect(tmp_path):
+    """An entry whose dialect member holds no dialect is a miss that
+    is removed, like any other corrupt entry, never an error."""
+    cache = SweepCache(tmp_path)
+    key = SweepCache.entry_key("content", "model", "policy")
+    entry = tmp_path / f"{key}.npz"
+    with open(entry, "wb") as handle:
+        np.savez(
+            handle,
+            line_codes=np.zeros(1, dtype=np.int8),
+            cell_positions=np.zeros((0, 2), dtype=np.int64),
+            cell_codes=np.zeros(0, dtype=np.int8),
+            dialect=np.array(["", '"', ""], dtype=np.str_),
+            shape=np.array([1, 1], dtype=np.int64),
+        )
+    assert cache.load(key, tmp_path / "f.csv") is None
+    assert not entry.exists()
+    assert cache.stats()["misses"] == 1
 
 
 def test_sweep_cache_evicts_oldest_past_the_bound(tmp_path):

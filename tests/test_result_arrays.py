@@ -7,10 +7,13 @@ kept verbatim: ``legacy_encode_structure`` (the engine's flattening of a
 ``StructureResult``), ``legacy_result_payload`` with the
 ``FileResult.line_classes``/``cell_classes`` it read, and
 ``legacy_classify``, the per-row pipeline tail that built the
-``CellClass`` list and ``(row, col)`` dict first.  Every comparison is
-down to dtype, shape, memory order and bytes (``np.save`` of each
-array, which is what a sweep-cache entry stores), and to the exact wire
-line.
+``CellClass`` list and ``(row, col)`` dict first.  A fourth,
+``legacy_structure_arrays``, is the engine's array encoder from before
+a ``FileResult`` was built straight from the pipeline's result and
+saved itself: it wrote the five members of a sweep-cache entry.  Every
+comparison is down to dtype, shape, memory order and bytes (``np.save``
+of each array, which is what a sweep-cache entry stores), and to the
+exact wire line.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.core.strudel import (
 )
 from repro.datagen.corpora import CORPUS_BUILDERS, make_corpus
 from repro.io.writer import write_csv_text
-from repro.perf.engine import _decode_arrays, _encode_structure
+from repro.perf.engine import FileResult, SweepCache
 from repro.serve.protocol import (
     decode_response,
     encode_response,
@@ -110,6 +113,30 @@ def legacy_encode_structure(result) -> dict[str, np.ndarray]:
         "line_codes": line_codes,
         "cell_positions": positions,
         "cell_codes": cell_codes,
+        "dialect": dialect,
+        "shape": shape,
+    }
+
+
+def legacy_structure_arrays(result) -> dict[str, np.ndarray]:
+    """A pipeline :class:`~repro.core.strudel.StructureResult` as
+    deterministic arrays: its class codes as the pipeline computed
+    them, plus the dialect and the table shape."""
+    dialect = np.array(
+        [
+            result.dialect.delimiter,
+            result.dialect.quotechar,
+            result.dialect.escapechar,
+        ],
+        dtype=np.str_,
+    )
+    shape = np.array(
+        [result.table.n_rows, result.table.n_cols], dtype=np.int64
+    )
+    return {
+        "line_codes": result.line_codes,
+        "cell_positions": result.cell_positions,
+        "cell_codes": result.cell_codes,
         "dialect": dialect,
         "shape": shape,
     }
@@ -198,6 +225,24 @@ def _npy(array: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
+def entry_of(arrays: dict[str, np.ndarray]) -> io.BytesIO:
+    """A sweep-cache entry holding ``arrays``, written the way the
+    engine wrote its array dicts (``np.savez`` of the members)."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    buffer.seek(0)
+    return buffer
+
+
+def saved_arrays(result: FileResult) -> dict[str, np.ndarray]:
+    """The members :meth:`FileResult.save` writes for ``result``."""
+    buffer = io.BytesIO()
+    result.save(buffer)
+    buffer.seek(0)
+    with np.load(buffer) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
 def _legacy_structure(pipeline, result: StructureResult) -> StructureResult:
     line_classes, cell_classes = legacy_classify(pipeline, result.table)
     return StructureResult(
@@ -212,14 +257,16 @@ def _legacy_structure(pipeline, result: StructureResult) -> StructureResult:
 def _assert_arrays_and_wire(pipeline, name: str, result: StructureResult):
     legacy = _legacy_structure(pipeline, result)
     assert result == legacy  # same public classes (codes never compare)
-    new_arrays = _encode_structure(result)
+    new_file = FileResult.of(Path(name), result)
+    new_arrays = saved_arrays(new_file)
     old_arrays = legacy_encode_structure(legacy)
     assert sorted(new_arrays) == sorted(old_arrays)
     for key in old_arrays:
         assert _npy(new_arrays[key]) == _npy(old_arrays[key]), key
+    for key in ("line_codes", "cell_positions", "cell_codes"):
+        assert _npy(getattr(new_file, key)) == _npy(old_arrays[key]), key
 
-    new_file = _decode_arrays(Path(name), new_arrays)
-    old_file = _decode_arrays(Path(name), old_arrays)
+    old_file = FileResult.load(entry_of(old_arrays), Path(name))
     assert new_file.line_classes() == legacy_line_classes(old_file)
     assert new_file.cell_classes() == legacy_cell_classes(old_file)
     line = encode_response(success_response(name, new_file))
@@ -299,3 +346,43 @@ def test_public_classes_agree_with_the_codes(pipeline):
         assert line.predict(result.table) == result.line_classes, entry
         cells = pipeline.cell_classifier
         assert cells.predict(result.table) == result.cell_classes, entry
+
+
+def _cache_inputs(pipeline):
+    for name in sorted(EDGE_BYTES):
+        yield name, pipeline.analyze_bytes(EDGE_BYTES[name])
+    corpus = make_corpus("saus", seed=7, scale=0.02)
+    for file in corpus.files[:3]:
+        data = write_csv_text(file.table.rows()).encode("utf-8")
+        yield file.name, pipeline.analyze_bytes(data)
+
+
+def test_cache_entries_reload_like_the_array_encoders(pipeline, tmp_path):
+    """An entry ``SweepCache.store`` writes holds the members the
+    engine's array encoder wrote, and both reload to the same arrays
+    (``np.savez`` stamps a time, so members are compared, not
+    files)."""
+    cache = SweepCache(tmp_path)
+    for name, result in _cache_inputs(pipeline):
+        cache.store(f"new-{name}", FileResult.of(Path(name), result))
+        (tmp_path / f"old-{name}.npz").write_bytes(
+            entry_of(legacy_structure_arrays(result)).getvalue()
+        )
+        with np.load(tmp_path / f"new-{name}.npz") as new, \
+                np.load(tmp_path / f"old-{name}.npz") as old:
+            assert new.files == old.files, name
+            for member in old.files:
+                assert _npy(new[member]) == _npy(old[member]), (name, member)
+        new_file = cache.load(f"new-{name}", Path(name))
+        old_file = cache.load(f"old-{name}", Path(name))
+        assert (new_file.path, new_file.dialect, new_file.n_rows,
+                new_file.n_cols) == (old_file.path, old_file.dialect,
+                                     old_file.n_rows, old_file.n_cols)
+        for key in ("line_codes", "cell_positions", "cell_codes"):
+            assert _npy(getattr(new_file, key)) == _npy(
+                getattr(old_file, key)
+            ), (name, key)
+            assert _npy(getattr(new_file, key)) == _npy(
+                getattr(result, key)
+            ), (name, key)
+    assert cache.stats()["misses"] == 0

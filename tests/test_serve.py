@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import io
 import json
+import zipfile
 
 import pytest
 
@@ -24,12 +26,12 @@ from repro.io.ingest import IngestPolicy
 from repro.io.writer import write_csv_text
 from repro.obs import get_metrics
 from repro.perf.engine import CorpusEngine, FileResult, SkipEntry
+from repro.serve import service as service_mod
 from repro.serve import (
     DLQ_SCHEMA,
     ClassificationService,
     DeadLetter,
     DeadLetterQueue,
-    ServiceClient,
     connect,
     decode_request,
     decode_response,
@@ -76,6 +78,14 @@ def corpus_dir(tiny_corpus, tmp_path_factory):
         )
         paths.append(path)
     return paths
+
+
+def _zip(path, members: dict[str, bytes]) -> None:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    path.write_bytes(buffer.getvalue())
 
 
 def _arrays(result: FileResult):
@@ -197,6 +207,20 @@ class TestDeadLetterQueue:
         )
         assert json.loads(line)["schema"] == DLQ_SCHEMA
 
+    def test_append_rewrites_a_torn_payload(self, tmp_path):
+        """A parked file cut short by a crash is written again by the
+        next append of the same bytes, so replay reads them whole."""
+        sha = hashlib.sha256(DAMAGED).hexdigest()
+        parked = tmp_path / "payloads" / f"{sha}.bin"
+        parked.parent.mkdir()
+        parked.write_bytes(DAMAGED[:5])
+        queue = DeadLetterQueue(tmp_path, clock=lambda: T0)
+        record = queue.append(
+            "r1", "damaged", "classify", "x", payload=DAMAGED
+        )
+        assert queue.payload(record) == DAMAGED
+        assert sorted(parked.parent.iterdir()) == [parked]
+
     def test_read_failures_park_no_payload(self, tmp_path):
         queue = DeadLetterQueue(tmp_path, clock=lambda: T0)
         record = queue.append("r1", "gone.csv", "read", "ENOENT")
@@ -255,11 +279,10 @@ class TestServiceRoundtrip:
         async def drive():
             service = ClassificationService(fitted_pipeline, n_jobs=1)
             await service.start()
-            client = ServiceClient(service)
             served = await asyncio.gather(
-                *[client.classify_path(p) for p in corpus_dir]
+                *[service.submit_path(p) for p in corpus_dir]
             )
-            raw = await client.classify_bytes(
+            raw = await service.submit_bytes(
                 corpus_dir[0].read_bytes(), name=str(corpus_dir[0])
             )
             summary = await service.drain()
@@ -280,21 +303,20 @@ class TestServiceRoundtrip:
         assert summary["accepting"] is False
 
     def test_drain_under_load_answers_everything(
-        self, fitted_pipeline, corpus_dir
+        self, fitted_pipeline, corpus_dir, monkeypatch
     ):
         """Drain while requests are queued: every accepted request is
         still answered (queue.join semantics), then admission stops."""
         payloads = [p.read_bytes() for p in corpus_dir] * 5
+        # Smaller batches than requests, so the drain spans several.
+        monkeypatch.setattr(service_mod, "_BATCH_FILES", 8)
 
         async def drive():
-            service = ClassificationService(
-                fitted_pipeline, n_jobs=1, batch_files=8
-            )
+            service = ClassificationService(fitted_pipeline, n_jobs=1)
             await service.start()
-            client = ServiceClient(service)
             tasks = [
                 asyncio.ensure_future(
-                    client.classify_bytes(data, name=f"p{i}")
+                    service.submit_bytes(data, name=f"p{i}")
                 )
                 for i, data in enumerate(payloads)
             ]
@@ -303,7 +325,7 @@ class TestServiceRoundtrip:
             summary = await service.drain()
             outcomes = await asyncio.gather(*tasks)
             with pytest.raises(ServeError):
-                await client.classify_bytes(b"a,b\n", name="late")
+                await service.submit_bytes(b"a,b\n", name="late")
             return outcomes, summary
 
         outcomes, summary = asyncio.run(drive())
@@ -312,6 +334,67 @@ class TestServiceRoundtrip:
         assert summary["requests"] == len(payloads)
         assert summary["results"] == len(payloads)
         assert summary["inflight"] == 0
+
+    def test_a_container_path_is_a_read_failure(
+        self, fitted_pipeline, corpus_dir, tmp_path
+    ):
+        """A path naming a whole archive is not one table: it fails at
+        the read stage, naming the ``container!member`` form, while a
+        member locator classifies like the loose file."""
+        archive = tmp_path / "two.zip"
+        _zip(archive, {
+            "a.csv": corpus_dir[0].read_bytes(),
+            "b.csv": corpus_dir[1].read_bytes(),
+        })
+        member = f"{archive}!a.csv"
+
+        async def drive():
+            service = ClassificationService(fitted_pipeline, n_jobs=1)
+            await service.start()
+            outcomes = await asyncio.gather(
+                service.submit_path(archive),
+                service.submit_path(member),
+                service.submit_path(corpus_dir[0]),
+            )
+            await service.drain()
+            return outcomes
+
+        whole, by_member, loose = asyncio.run(drive())
+        assert isinstance(whole, SkipEntry) and whole.stage == "read"
+        assert "AdapterError" in whole.reason
+        assert f"{archive}!" in whole.reason
+        assert isinstance(by_member, FileResult)
+        assert by_member.provenance == member
+        assert _arrays(by_member) == _arrays(loose)
+
+    def test_served_read_failures_count_like_a_sweeps(
+        self, fitted_pipeline, corpus_dir, tmp_path
+    ):
+        """Sweeping ``[good, missing]`` and serving the same two paths
+        add the same ``sweep.files`` and ``sweep.skipped``."""
+        metrics = get_metrics()
+        paths = [corpus_dir[0], tmp_path / "missing.csv"]
+        names = ("sweep.files", "sweep.skipped")
+
+        def added(run) -> dict[str, int]:
+            before = {name: metrics.counter(name) for name in names}
+            run()
+            return {name: metrics.counter(name) - before[name] for name in names}
+
+        def sweep():
+            with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
+                engine.sweep(paths).collect()
+
+        async def serve():
+            service = ClassificationService(fitted_pipeline, n_jobs=1)
+            await service.start()
+            for path in paths:
+                await service.submit_path(path)
+            await service.drain()
+
+        swept = added(sweep)
+        served = added(lambda: asyncio.run(serve()))
+        assert swept == served == {"sweep.files": 2, "sweep.skipped": 1}
 
     def test_lifecycle_is_single_use(self, fitted_pipeline):
         async def drive():
@@ -330,8 +413,6 @@ class TestServiceRoundtrip:
     def test_rejects_degenerate_bounds(self, fitted_pipeline):
         with pytest.raises(ServeError):
             ClassificationService(fitted_pipeline, queue_size=0)
-        with pytest.raises(ServeError):
-            ClassificationService(fitted_pipeline, batch_files=0)
 
     def test_failures_dead_letter_durably(
         self, fitted_pipeline, tmp_path
@@ -412,6 +493,39 @@ class TestReplay:
         assert report.recovered == 1
         assert len(dlq) == 0
         assert list((tmp_path / "dlq" / "payloads").glob("*.bin")) == []
+
+    def test_replay_reads_an_archive_member_once_it_exists(
+        self, fitted_pipeline, corpus_dir, tmp_path
+    ):
+        """A ``container!member`` request whose archive is missing is
+        dead-lettered under its locator, stays unreplayable while the
+        archive is missing, and recovers once it exists."""
+        dlq = DeadLetterQueue(tmp_path / "dlq", clock=lambda: T0)
+        archive = tmp_path / "lake.zip"
+        member = f"{archive}!a.csv"
+
+        async def drive():
+            service = ClassificationService(fitted_pipeline, dlq=dlq)
+            await service.start()
+            outcome = await service.submit_path(member)
+            await service.drain()
+            return outcome
+
+        outcome = asyncio.run(drive())
+        assert isinstance(outcome, SkipEntry) and outcome.stage == "read"
+        (record,) = dlq.records()
+        assert record.source == member
+
+        with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
+            report = replay_dead_letters(dlq, engine)
+        assert (report.unreplayable, report.replayed) == (1, 0)
+        assert dlq.records() == [record]
+
+        _zip(archive, {"a.csv": corpus_dir[0].read_bytes()})
+        with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
+            report = replay_dead_letters(dlq, engine)
+        assert report.recovered == 1 and report.unreplayable == 0
+        assert len(dlq) == 0
 
     def test_still_strict_replay_bumps_not_drops(
         self, fitted_pipeline, tmp_path
@@ -519,3 +633,40 @@ class TestTcpFrontEnd:
         assert summary["dead_letters"] == 2
         stages = sorted(r.stage for r in dlq.records())
         assert stages == ["protocol", "read"]
+
+    def test_a_named_path_request_dead_letters_its_path(
+        self, fitted_pipeline, corpus_dir, tmp_path
+    ):
+        """A path request that also carries a display ``name`` keeps
+        the name on the wire but records its path in the DLQ, so
+        replay recovers it once the file exists."""
+        dlq = DeadLetterQueue(tmp_path / "dlq", clock=lambda: T0)
+        missing = tmp_path / "later.csv"
+
+        async def drive():
+            service = ClassificationService(
+                fitted_pipeline, n_jobs=1, dlq=dlq
+            )
+            await service.start(host="127.0.0.1", port=0)
+            client = await connect("127.0.0.1", service.port)
+            named = await client.request(
+                encode_request("r1", path=missing, name="upload")
+            )
+            found = await client.request(
+                encode_request("r2", path=corpus_dir[0], name="upload")
+            )
+            await client.close()
+            await service.drain()
+            return named, found
+
+        named, found = asyncio.run(drive())
+        assert named["ok"] is False and named["stage"] == "read"
+        assert found["ok"] and found["result"]["path"] == "upload"
+        (record,) = dlq.records()
+        assert (record.request_id, record.source) == ("r1", str(missing))
+
+        missing.write_bytes(corpus_dir[0].read_bytes())
+        with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
+            report = replay_dead_letters(dlq, engine)
+        assert report.recovered == 1 and report.unreplayable == 0
+        assert len(dlq) == 0
