@@ -160,7 +160,8 @@ def test_analyze_extracts_each_feature_matrix_once(config):
     """The single-pass plan: one ``analyze`` call runs the line
     feature extractor exactly once and the cell feature extractor
     exactly once (before the plan, line features were extracted twice
-    — once for line labels, once for the probability features)."""
+    — once for line labels, once for the probability features).  The
+    cell pass builds its matrix alone, with ``matrix``."""
     train = config.corpus("saus")
     pipeline = StrudelPipeline(
         n_estimators=config.n_estimators, random_state=config.seed
@@ -170,22 +171,22 @@ def test_analyze_extracts_each_feature_matrix_once(config):
 
     calls = {"line": 0, "cell": 0}
     line_extract = pipeline.line_classifier.extractor.extract
-    cell_extract = pipeline.cell_classifier.extractor.extract
+    cell_matrix = pipeline.cell_classifier.extractor.matrix
 
     def counting_line_extract(table):
         calls["line"] += 1
         return line_extract(table)
 
-    def counting_cell_extract(table, probabilities):
+    def counting_cell_matrix(table, probabilities):
         calls["cell"] += 1
-        return cell_extract(table, probabilities)
+        return cell_matrix(table, probabilities)
 
     pipeline.line_classifier.extractor.extract = counting_line_extract
-    pipeline.cell_classifier.extractor.extract = counting_cell_extract
+    pipeline.cell_classifier.extractor.matrix = counting_cell_matrix
     try:
         pipeline.analyze(text)
     finally:
         pipeline.line_classifier.extractor.extract = line_extract
-        pipeline.cell_classifier.extractor.extract = cell_extract
+        pipeline.cell_classifier.extractor.matrix = cell_matrix
 
     assert calls == {"line": 1, "cell": 1}

@@ -32,10 +32,12 @@ The matrix is assembled column-wise from the shared
 :class:`~repro.core.profile.TableProfile` — data types, lengths,
 keyword flags, emptiness aggregates and block sizes are the same
 arrays the line extractor and derived-cell detector consume, computed
-once per table.  Neighbour features use a ``-1``-padded copy of each
-grid so the eight offsets become eight shifted views instead of
-per-cell bounds checks.  ``tests/test_profile_parity.py`` pins the
-output byte-identical to the original per-cell implementation.
+once per table.  Cells are addressed by their flat index into the
+grid, and the two neighbour sources (lengths and types) each get one
+``-1``-padded copy, so the eight offsets become one gather per source
+instead of per-cell bounds checks.  ``tests/test_profile_parity.py``
+pins the output byte-identical to the original per-cell
+implementation.
 """
 
 from __future__ import annotations
@@ -135,8 +137,20 @@ class CellFeatureExtractor:
         Returns
         -------
         positions, features:
-            ``positions[i]`` is the ``(row, col)`` of feature row ``i``.
+            ``positions[i]`` is the ``(row, col)`` of feature row ``i``;
+            ``features`` is :meth:`matrix`.
         """
+        features = self.matrix(table, line_probabilities)
+        rr, cc = np.nonzero(table_profile(table).non_empty)
+        return list(zip(rr.tolist(), cc.tolist())), features
+
+    def matrix(
+        self,
+        table: Table,
+        line_probabilities: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The feature matrix alone: one row per non-empty cell, in
+        row-major order (the rows of :meth:`extract`)."""
         n_rows, n_cols = table.shape
         n_classes = len(CONTENT_CLASSES)
         if line_probabilities is None:
@@ -151,26 +165,33 @@ class CellFeatureExtractor:
             )
 
         profile = table_profile(table)
-        rr, cc = np.nonzero(profile.non_empty)
-        positions = list(zip(rr.tolist(), cc.tolist()))
-        if not positions:
-            return positions, np.zeros((0, len(CELL_FEATURE_NAMES)))
+        # Cells are addressed by their flat index into the grid.
+        cells = np.flatnonzero(profile.non_empty)
+        if not cells.size:
+            return np.zeros((0, len(CELL_FEATURE_NAMES)))
+        rr, cc = np.divmod(cells, n_cols)
 
-        types = profile.dtype_grid.astype(np.float64)
-        lengths = profile.value_lengths.astype(np.float64)
-        max_length = lengths.max() if lengths.size else 1.0
-        if max_length <= 0:
-            max_length = 1.0
-        norm_lengths = lengths / max_length
+        # The two neighbour sources, each padded once with the paper's
+        # -1 for neighbours beyond the table boundary.  ``at`` is each
+        # cell's flat index into the padded grids.
+        width = n_cols + 2
+        types = _padded(profile.dtype_grid)
+        norm_lengths = _padded(profile.value_lengths)
+        # Normalized by the longest value (a non-empty cell's length
+        # is at least 1), the padding left at -1.
+        inner = norm_lengths[1:-1, 1:-1]
+        inner /= inner.max()
+        types, norm_lengths = types.ravel(), norm_lengths.ravel()
+        at = cells + 2 * rr + (width + 1)
 
         probabilities = np.asarray(line_probabilities, dtype=np.float64)
         derived_mask = profile.derived_mask(self.detector)
 
-        features = np.empty((len(positions), len(CELL_FEATURE_NAMES)))
+        features = np.empty((len(cells), len(CELL_FEATURE_NAMES)))
         # Content features.
-        features[:, 0] = norm_lengths[rr, cc]
-        features[:, 1] = types[rr, cc]
-        features[:, 2] = profile.keyword_mask[rr, cc]
+        features[:, 0] = norm_lengths.take(at)
+        features[:, 1] = types.take(at)
+        features[:, 2] = profile.keyword_mask.take(cells)
         features[:, 3] = profile.row_keyword[rr]
         features[:, 4] = profile.col_keyword[cc]
         features[:, 5] = rr / (n_rows - 1) if n_rows > 1 else 0.0
@@ -192,29 +213,25 @@ class CellFeatureExtractor:
         features[:, base + 4] = profile.row_empty_ratio[rr]
         features[:, base + 5] = profile.col_empty_ratio[cc]
         features[:, base + 6] = (
-            profile.block_size_grid[rr, cc] / (n_rows * n_cols)
+            profile.block_size_grid.take(cells) / (n_rows * n_cols)
         )
 
-        for offset, (di, dj) in enumerate(_NEIGHBOR_OFFSETS):
-            features[:, base + 7 + offset] = _shifted(
-                norm_lengths, rr, cc, di, dj
-            )
-            features[:, base + 15 + offset] = _shifted(
-                types, rr, cc, di, dj
-            )
+        neighbours = at[:, None] + np.array(
+            [di * width + dj for di, dj in _NEIGHBOR_OFFSETS]
+        )
+        features[:, base + 7 : base + 15] = norm_lengths.take(neighbours)
+        features[:, base + 15 : base + 23] = types.take(neighbours)
 
         # Computational feature.
-        features[:, base + 23] = derived_mask[rr, cc]
-        return positions, features
+        features[:, base + 23] = derived_mask.take(cells)
+        return features
 
 
-def _shifted(
-    grid: np.ndarray, rr: np.ndarray, cc: np.ndarray, di: int, dj: int
-) -> np.ndarray:
-    """Values of ``grid`` at ``(rr + di, cc + dj)`` with the paper's
+def _padded(grid: np.ndarray) -> np.ndarray:
+    """A ``float64`` copy of ``grid`` framed by one cell of the paper's
     ``-1`` default for neighbours beyond the table boundary."""
     padded = np.full(
         (grid.shape[0] + 2, grid.shape[1] + 2), float(MISSING_NEIGHBOR)
     )
     padded[1:-1, 1:-1] = grid
-    return padded[rr + 1 + di, cc + 1 + dj]
+    return padded

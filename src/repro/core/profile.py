@@ -164,9 +164,7 @@ class TableProfile:
         """``int8`` grid of :class:`~repro.types.DataType` codes."""
         unique = self.unique_values
         codes = np.fromiter(
-            (int(infer_data_type(value)) for value in unique),
-            dtype=np.int8,
-            count=len(unique),
+            map(infer_data_type, unique), dtype=np.int8, count=len(unique)
         )
         return self._scatter(codes)
 
@@ -193,11 +191,9 @@ class TableProfile:
     @cached_property
     def numeric_grid(self) -> np.ndarray:
         """``float64`` grid of parsed numbers; non-numeric cells are NaN."""
-        unique = self.unique_values
-        parsed = [parse_number(value) for value in unique]
+        # ``None`` (not a number) converts to the same NaN as ``np.nan``.
         numbers = np.array(
-            [np.nan if value is None else value for value in parsed],
-            dtype=np.float64,
+            list(map(parse_number, self.unique_values)), dtype=np.float64
         )
         return self._scatter(numbers)
 

@@ -88,7 +88,7 @@ def set_default_classifier_factory(
 
     The factory is called as ``factory(n_estimators=…,
     random_state=…, n_jobs=…)`` and must return an object with
-    ``fit`` / ``predict_proba`` / ``classes_``.  Called by
+    ``fit`` / ``predict`` / ``predict_proba`` / ``classes_``.  Called by
     ``repro/__init__.py`` with the random forest; tests may rebind it
     to swap the backbone.
     """
@@ -470,6 +470,15 @@ class StrudelCellClassifier:
         with get_tracer().span("cell_features"):
             return self.extractor.extract(table, probabilities)
 
+    def cell_matrix(
+        self, table: Table, probabilities: np.ndarray
+    ) -> np.ndarray:
+        """The cell feature pass without positions: the full feature
+        matrix of the non-empty cells in row-major order, what
+        :meth:`codes_from_features` takes."""
+        with get_tracer().span("cell_features"):
+            return self.extractor.matrix(table, probabilities)
+
     # ------------------------------------------------------------------
     def fit(self, files: list[AnnotatedFile]) -> "StrudelCellClassifier":
         """Train on the non-empty cells of ``files``.
@@ -521,19 +530,21 @@ class StrudelCellClassifier:
     def codes_from_features(self, features: np.ndarray) -> np.ndarray:
         """Predicted class code (``int8``,
         :data:`~repro.types.CLASS_CODES`) per row of a pre-extracted
-        cell feature matrix."""
+        cell feature matrix.
+
+        The codes are the model's ``predict``.  That is the argmax of
+        the probabilities aligned onto the six classes: the model's
+        ``classes_`` are sorted content-class codes, and a row's
+        largest probability is positive, so no absent class (aligned
+        to zero) can win and ties break the same way.
+        """
         self._require_fitted()
         with get_tracer().span("cell_prediction"):
             if not len(features):
                 return np.zeros(0, dtype=np.int8)
-            raw = self._model.predict_proba(
+            return self._model.predict(
                 _apply_columns(features, self._columns)
-            )
-            return _codes_from(
-                align_class_probabilities(
-                    raw, self._model.classes_, features.shape[0]
-                )
-            )
+            ).astype(np.int8)
 
     def predict_from_features(
         self,
@@ -730,7 +741,7 @@ class StrudelPipeline:
         )
         # ``line_codes`` only carries a table's failure forward.
         cell_features = _each(
-            lambda table, proba, _codes: cells.extract_cells(table, proba)[1],
+            lambda table, proba, _codes: cells.cell_matrix(table, proba),
             tables, probabilities, line_codes,
         )
         cell_codes = _stacked(cells.codes_from_features, cell_features)

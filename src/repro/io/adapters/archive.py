@@ -2,7 +2,8 @@
 
 Members are enumerated in sorted-name order (archives record
 insertion order, which is a build artifact, not content), filtered to
-the suffixes the lake crawl recognises, and read with a per-member
+the suffixes the lake crawl recognises (and, when one locator is
+wanted, to the members on the way to it), and read with a per-member
 budget of ``policy.max_bytes + 1`` bytes — one byte over, so the
 ingest size guard still *sees* an oversize member (strict mode
 rejects it, lenient mode truncates and reports) while a pathological
@@ -33,6 +34,7 @@ from repro.io.adapters.base import (
     IngestPolicy,
     SourcePayload,
     join_provenance,
+    leads_to,
     payloads_from_bytes,
     register_dispatcher,
     suffix_matches,
@@ -61,8 +63,10 @@ def iter_zip_payloads(
     data: bytes,
     policy: IngestPolicy = DEFAULT_POLICY,
     depth: int = 0,
+    wanted: str | None = None,
 ) -> Iterator[SourcePayload]:
-    """Every recognised member of the zip archive ``data``."""
+    """Every recognised member of the zip archive ``data`` (only those
+    on the way to ``wanted``, when given)."""
     try:
         with zipfile.ZipFile(io.BytesIO(data)) as archive:
             members = sorted(
@@ -70,6 +74,7 @@ def iter_zip_payloads(
                 for info in archive.infolist()
                 if not info.is_dir()
                 and suffix_matches(info.filename, SOURCE_SUFFIXES)
+                and leads_to(name, info.filename, wanted)
             )
             for member in members:
                 with archive.open(member) as handle:
@@ -79,6 +84,7 @@ def iter_zip_payloads(
                     payload,
                     policy,
                     depth + 1,
+                    wanted,
                 )
     except AdapterError:
         raise
@@ -94,9 +100,11 @@ def iter_tar_payloads(
     data: bytes,
     policy: IngestPolicy = DEFAULT_POLICY,
     depth: int = 0,
+    wanted: str | None = None,
 ) -> Iterator[SourcePayload]:
     """Every recognised member of the (possibly compressed) tar
-    archive ``data``; compression is auto-detected (``r:*``)."""
+    archive ``data`` (only those on the way to ``wanted``, when
+    given); compression is auto-detected (``r:*``)."""
     try:
         with tarfile.open(fileobj=io.BytesIO(data), mode="r:*") as archive:
             members = sorted(
@@ -104,6 +112,7 @@ def iter_tar_payloads(
                 for member in archive.getmembers()
                 if member.isfile()
                 and suffix_matches(member.name, SOURCE_SUFFIXES)
+                and leads_to(name, member.name, wanted)
             )
             for member_name in members:
                 handle = archive.extractfile(member_name)
@@ -116,6 +125,7 @@ def iter_tar_payloads(
                     payload,
                     policy,
                     depth + 1,
+                    wanted,
                 )
     except AdapterError:
         raise

@@ -112,9 +112,12 @@ def is_container_name(name: str) -> bool:
 
 
 #: A dispatcher turns container bytes into payloads:
-#: ``(name, data, policy, depth) -> Iterator[SourcePayload]``.
+#: ``(name, data, policy, depth, wanted) -> Iterator[SourcePayload]``.
+#: With a ``wanted`` locator, an archive dispatcher opens only the
+#: members on the way to it (:func:`leads_to`); record streams parse
+#: their whole document either way.
 Dispatcher = Callable[
-    [str, bytes, IngestPolicy, int], Iterator[SourcePayload]
+    [str, bytes, IngestPolicy, int, "str | None"], Iterator[SourcePayload]
 ]
 
 #: Ordered suffix -> dispatcher registry; concrete adapter modules
@@ -130,19 +133,36 @@ def register_dispatcher(
     _DISPATCHERS.append((suffixes, dispatcher))
 
 
+def leads_to(container: str, member: str, wanted: str | None) -> bool:
+    """Whether ``member`` of ``container`` is the ``wanted`` source or
+    a container on the way to it (always, when nothing in particular
+    is wanted)."""
+    if wanted is None:
+        return True
+    locator = join_provenance(container, member)
+    return wanted == locator or wanted.startswith(
+        locator + PROVENANCE_SEPARATOR
+    )
+
+
 def payloads_from_bytes(
     name: str,
     data: bytes,
     policy: IngestPolicy = DEFAULT_POLICY,
     depth: int = 0,
+    wanted: str | None = None,
 ) -> Iterator[SourcePayload]:
     """Dispatch raw bytes named ``name`` to the matching adapter.
 
     Container suffixes fan out into their members (recursively, up to
     :data:`MAX_CONTAINER_DEPTH`); anything else is a table payload
-    passed through as-is, with ``name`` as its provenance.  Raises
-    :class:`~repro.errors.AdapterError` when a container is damaged
-    or nested too deeply.
+    passed through as-is, with ``name`` as its provenance.  With a
+    ``wanted`` locator, archives open only the members on the way to
+    it.  Raises :class:`~repro.errors.AdapterError` when a container
+    is damaged or nested too deeply.
+
+    Each payload counts once in ``adapter.sources``, where it is
+    produced: a table here, a record table in its stream's adapter.
     """
     metrics = get_metrics()
     if depth > MAX_CONTAINER_DEPTH:
@@ -156,9 +176,7 @@ def payloads_from_bytes(
             continue
         metrics.increment("adapter.containers")
         try:
-            for payload in dispatcher(name, data, policy, depth):
-                metrics.increment("adapter.sources")
-                yield payload
+            yield from dispatcher(name, data, policy, depth, wanted)
         except AdapterError:
             metrics.increment("adapter.errors")
             raise
@@ -175,11 +193,14 @@ def read_source(
     """Resolve a path or provenance locator back to payload bytes.
 
     A plain path reads directly (``OSError`` propagates, as for any
-    missing file); a ``container!member`` locator re-enumerates the
-    container and returns the matching payload — so the serve wire
-    can classify any source a sweep reported, by its provenance.  A
-    container named without a member holds sources, not one table:
-    it raises :class:`~repro.errors.AdapterError`.
+    missing file); a ``container!member`` locator returns the payload
+    the container's enumeration yields under it — so the serve wire
+    can classify any source a sweep reported, by its provenance.  An
+    archive opens only the member named (one level at a time for a
+    nested locator), so a late member costs what an early one does; a
+    record stream is parsed whole.  A container named without a
+    member holds sources, not one table: it raises
+    :class:`~repro.errors.AdapterError`.
     """
     container, member = split_provenance(locator)
     if member is None and is_container_name(container):
@@ -190,7 +211,9 @@ def read_source(
     data = Path(container).read_bytes()
     if member is None:
         return data
-    for payload in payloads_from_bytes(container, data, policy):
+    for payload in payloads_from_bytes(
+        container, data, policy, wanted=locator
+    ):
         if payload.provenance == locator:
             return payload.data
     raise AdapterError(

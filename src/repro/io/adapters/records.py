@@ -48,9 +48,10 @@ def iter_ndjson_payloads(
     data: bytes,
     policy: IngestPolicy = DEFAULT_POLICY,
     depth: int = 0,
+    wanted: str | None = None,
 ) -> Iterator[SourcePayload]:
     """The NDJSON stream ``data`` as one rectangular table payload
-    (provenance ``name!records``)."""
+    (provenance ``name!records``); ``wanted`` changes nothing."""
     text, _report = decode_bytes(data, policy)
     records: list[object] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -63,7 +64,9 @@ def iter_ndjson_payloads(
                 f"{name!r} line {number} is not valid JSON: {exc}"
             ) from exc
     rows = _rectangle(records, name)
-    get_metrics().increment("adapter.records", len(records))
+    metrics = get_metrics()
+    metrics.increment("adapter.records", len(records))
+    metrics.increment("adapter.sources")
     yield SourcePayload(
         source_id="records",
         data=write_csv_text(rows).encode("utf-8"),
@@ -136,9 +139,11 @@ def iter_xml_payloads(
     data: bytes,
     policy: IngestPolicy = DEFAULT_POLICY,
     depth: int = 0,
+    wanted: str | None = None,
 ) -> Iterator[SourcePayload]:
     """The XML document ``data`` as one table per root-child element
-    tag (``name!article``, ``name!book``…), dblp-to-csv style."""
+    tag (``name!article``, ``name!book``…), dblp-to-csv style;
+    ``wanted`` changes nothing: the document is parsed whole."""
     text, _report = decode_bytes(data, policy)
     try:
         root = ElementTree.fromstring(text)
@@ -160,6 +165,7 @@ def iter_xml_payloads(
         elements = groups[tag]
         rows = _element_table(elements)
         metrics.increment("adapter.records", len(elements))
+        metrics.increment("adapter.sources")
         yield SourcePayload(
             source_id=tag,
             data=write_csv_text(rows).encode("utf-8"),

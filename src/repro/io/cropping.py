@@ -36,15 +36,19 @@ def _crop_bounds(table: Table) -> tuple[int, int, int, int]:
 
 
 def crop_table(table: Table) -> Table:
-    """A new table with marginal empty rows and columns removed.
+    """The table with marginal empty rows and columns removed.
 
     Interior empty rows and columns — meaningful visual separators —
-    are preserved.  A fully empty input yields a 1x1 empty table so
-    downstream shape assumptions hold.
+    are preserved.  A table without margins is returned as it is
+    (tables are immutable, so sharing it is safe); a fully empty input
+    yields a 1x1 empty table so downstream shape assumptions hold.
     """
-    row_start, row_stop, col_start, col_stop = _crop_bounds(table)
+    bounds = _crop_bounds(table)
+    row_start, row_stop, col_start, col_stop = bounds
     if row_start == row_stop or col_start == col_stop:
         return Table([[""]])
+    if bounds == (0, table.n_rows, 0, table.n_cols):
+        return table
     rows = [
         table.row(i)[col_start:col_stop] for i in range(row_start, row_stop)
     ]

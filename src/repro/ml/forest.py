@@ -240,9 +240,13 @@ class RandomForestClassifier:
         return self.compile().predict_proba(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Most probable class per sample under the averaged vote."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
+        """Most probable class per sample under the averaged vote:
+        exactly ``classes_[argmax(predict_proba(X))]``, from the
+        compiled tensors, which stop summing a row's trees once the
+        rest cannot change its class (:meth:`CompiledForest.predict`).
+        """
+        check_fitted(self, "estimators_")
+        return self.compile().predict(X)
 
     @property
     def feature_importances_(self) -> np.ndarray:

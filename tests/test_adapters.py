@@ -7,10 +7,12 @@ import re
 import tarfile
 import zipfile
 
+import numpy as np
 import pytest
 
 from repro.core.strudel import StrudelPipeline
 from repro.errors import AdapterError, IngestError, ReproError
+from repro.fuzz.mutations import CONTAINER_BUILDERS
 from repro.io.adapters import (
     CONTAINER_SUFFIXES,
     MAX_CONTAINER_DEPTH,
@@ -33,6 +35,7 @@ from repro.io.adapters import (
 )
 from repro.io.ingest import IngestPolicy, ingest_bytes
 from repro.io.writer import write_csv_text
+from repro.obs import get_metrics
 from repro.perf.engine import CorpusEngine, FileResult
 
 ROWS = "Region,Q1,Q2\nNorth,5,7\nSouth,6,8\nTotal,11,15\n"
@@ -304,6 +307,105 @@ class TestReadSource:
             AdapterError, match=re.escape(f"{container}!<member>")
         ):
             read_source(str(container))
+
+
+class TestReadSourceOpensOneMember:
+    """``read_source`` gives a member's bytes as enumeration does, and
+    an archive opens only the member named."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "kind", [kind for kind, _build in CONTAINER_BUILDERS]
+    )
+    def test_every_member_reads_as_enumerated(self, tmp_path, kind, seed):
+        build = dict(CONTAINER_BUILDERS)[kind]
+        rng = np.random.default_rng(seed)
+        texts = [ROWS, ROWS.replace("North", "East"), "a;b\n1;2\n"]
+        name, data = build(texts, rng)
+        container = tmp_path / name
+        container.write_bytes(data)
+        payloads = list(payloads_from_bytes(str(container), data))
+        assert payloads
+        for payload in payloads:
+            assert read_source(payload.provenance) == payload.data
+        with pytest.raises(AdapterError, match="no source"):
+            read_source(f"{container}!absent.csv")
+
+    def test_a_damaged_neighbour_does_not_stop_the_member(self, tmp_path):
+        """The member before the one named has a bad CRC: enumerating
+        the archive fails on it, reading the named member does not."""
+        archive = tmp_path / "arch.zip"
+        data = bytearray(
+            _zip_bytes({"a.csv": b"x,y\n1,2\n", "b.csv": ROWS.encode()})
+        )
+        with zipfile.ZipFile(io.BytesIO(bytes(data))) as opened:
+            info = opened.getinfo("a.csv")
+        data[info.header_offset + 30 + len("a.csv")] ^= 0xFF
+        archive.write_bytes(bytes(data))
+        with pytest.raises(AdapterError, match="cannot read zip"):
+            list(iter_source(archive))
+        assert read_source(f"{archive}!b.csv") == ROWS.encode()
+        with pytest.raises(AdapterError, match="cannot read zip"):
+            read_source(f"{archive}!a.csv")
+
+    def test_a_nested_member_reads_one_level_at_a_time(self, tmp_path):
+        inner = _zip_bytes({"deep.csv": ROWS.encode(), "other.csv": b"q\n"})
+        archive = tmp_path / "outer.tar"
+        archive.write_bytes(_tar_bytes({"inner.zip": inner, "z.csv": b"z\n"}))
+        assert read_source(f"{archive}!inner.zip!deep.csv") == ROWS.encode()
+        with pytest.raises(AdapterError, match="no source"):
+            read_source(f"{archive}!inner.zip!absent.csv")
+        with pytest.raises(AdapterError, match="no source"):
+            read_source(f"{archive}!inner.zip")
+
+
+class TestSourceCounter:
+    """``adapter.sources`` counts each payload once, where it is
+    produced."""
+
+    @staticmethod
+    def _moved(action) -> int:
+        metrics = get_metrics()
+        before = metrics.counter("adapter.sources")
+        action()
+        return metrics.counter("adapter.sources") - before
+
+    def test_a_loose_file_counts_one(self):
+        assert self._moved(
+            lambda: list(payloads_from_bytes("a.csv", ROWS.encode()))
+        ) == 1
+
+    def test_a_two_member_zip_counts_two(self):
+        data = _zip_bytes({"a.csv": b"1\n", "b.csv": b"2\n"})
+        assert self._moved(
+            lambda: list(payloads_from_bytes("arch.zip", data))
+        ) == 2
+
+    def test_an_ndjson_log_counts_one(self):
+        data = b'{"a": 1}\n{"a": 2}\n'
+        assert self._moved(
+            lambda: list(payloads_from_bytes("log.ndjson", data))
+        ) == 1
+
+    def test_an_xml_dump_counts_its_tables(self):
+        data = b"<r><article><t>a</t></article><book><t>b</t></book></r>"
+        assert self._moved(
+            lambda: list(payloads_from_bytes("dump.xml", data))
+        ) == 2
+
+    def test_a_zip_in_a_zip_counts_its_members(self):
+        inner = _zip_bytes({"a.csv": b"1\n", "b.csv": b"2\n"})
+        outer = _zip_bytes({"inner.zip": inner, "c.csv": b"3\n"})
+        assert self._moved(
+            lambda: list(payloads_from_bytes("outer.zip", outer))
+        ) == 3
+
+    def test_reading_the_last_of_fifty_members_counts_one(self, tmp_path):
+        archive = tmp_path / "big.zip"
+        archive.write_bytes(
+            _zip_bytes({f"m{i}.csv": f"{i}\n".encode() for i in range(50)})
+        )
+        assert self._moved(lambda: read_source(f"{archive}!m49.csv")) == 1
 
 
 @pytest.fixture(scope="module")

@@ -250,14 +250,14 @@ def test_a_batch_makes_one_call_per_forest(pipeline, payloads):
 def test_failures_stay_with_their_payload(pipeline, payloads, monkeypatch):
     """An undecodable payload and one whose extraction raises get the
     per-file loop's error text; the others get identical results."""
-    real = CellFeatureExtractor.extract
+    real = CellFeatureExtractor.matrix
 
-    def extract(self, table, probabilities):
+    def matrix(self, table, probabilities):
         if table.cell(0, 0) == "explode":
             raise RuntimeError("cell extraction failed on purpose")
         return real(self, table, probabilities)
 
-    monkeypatch.setattr(CellFeatureExtractor, "extract", extract)
+    monkeypatch.setattr(CellFeatureExtractor, "matrix", matrix)
     strict = IngestPolicy(strict=True)
     good = [payloads[n] for n in sorted(payloads) if n.startswith("saus/")]
     datas = [good[0], b"\xff\xfe\x00\xd8", good[1], _marked("explode"), good[2]]

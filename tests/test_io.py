@@ -14,7 +14,7 @@ from repro.io.annotations import (
     save_annotated_file,
     save_corpus,
 )
-from repro.io.cropping import crop_annotated_file, crop_table
+from repro.io.cropping import _crop_bounds, crop_annotated_file, crop_table
 from repro.io.reader import read_table, read_table_text
 from repro.io.writer import write_csv_text, write_table
 from repro.types import AnnotatedFile, CellClass, Corpus, Table
@@ -64,6 +64,18 @@ class TestWriter:
         assert write_csv_text([]) == ""
 
 
+def legacy_crop_table(table: Table) -> Table:
+    """``crop_table`` before it returned a margin-free table as it is:
+    always a new table, copied row by row."""
+    row_start, row_stop, col_start, col_stop = _crop_bounds(table)
+    if row_start == row_stop or col_start == col_stop:
+        return Table([[""]])
+    rows = [
+        table.row(i)[col_start:col_stop] for i in range(row_start, row_stop)
+    ]
+    return Table(rows)
+
+
 class TestCropping:
     def test_crops_marginal_empties(self):
         table = Table(
@@ -87,6 +99,28 @@ class TestCropping:
     def test_no_crop_needed(self):
         table = Table([["a", "b"], ["c", "d"]])
         assert crop_table(table) == table
+
+    def test_a_table_without_margins_is_returned_as_it_is(self):
+        table = Table([["a", ""], ["", ""], ["", "d"]])
+        assert crop_table(table) is table
+
+    def test_cropped_tables_match_the_copying_crop(self):
+        """Every parity table, as it is and inside empty margins, crops
+        to the rows the copying crop gave."""
+        from tests.test_profile_parity import ALL_TABLES
+
+        for name, table in ALL_TABLES:
+            width = table.n_cols + 2
+            framed = Table(
+                [[""] * width]
+                + [["", *row, ""] for row in table.rows()]
+                + [[""] * width]
+            )
+            for variant in (table, framed):
+                got = crop_table(variant)
+                want = legacy_crop_table(variant)
+                assert got.shape == want.shape, name
+                assert list(got.rows()) == list(want.rows()), name
 
     def test_crop_annotated_file_consistency(self, verbose_file):
         width = verbose_file.table.n_cols + 1

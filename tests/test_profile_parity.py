@@ -14,6 +14,7 @@ not just ``allclose``.
 
 from __future__ import annotations
 
+import io
 import warnings
 
 import numpy as np
@@ -47,6 +48,9 @@ from repro.core.profile import table_profile
 from repro.datagen import make_corpus
 from repro.datagen.filegen import generate_file
 from repro.datagen.spec import FileSpec, TableSpec
+from repro.errors import InvalidParameterError
+from repro.io.cropping import crop_table
+from repro.io.ingest import ingest_bytes
 from repro.types import CONTENT_CLASSES, DataType, MISSING_NEIGHBOR, Table
 from repro.util.stats import (
     bhattacharyya_distance,
@@ -55,6 +59,7 @@ from repro.util.stats import (
     min_max_normalize,
 )
 from repro.util.text import count_words, tokenize_words
+from tests.test_result_arrays import EDGE_BYTES
 
 # ----------------------------------------------------------------------
 # Legacy reference implementations (the pre-profile code, verbatim
@@ -503,6 +508,98 @@ class LegacyCellFeatureExtractor:
         return positions, np.zeros((0, len(CELL_FEATURE_NAMES)))
 
 
+def legacy_shifted(
+    grid: np.ndarray, rr: np.ndarray, cc: np.ndarray, di: int, dj: int
+) -> np.ndarray:
+    """Values of ``grid`` at ``(rr + di, cc + dj)`` with the paper's
+    ``-1`` default for neighbours beyond the table boundary."""
+    padded = np.full(
+        (grid.shape[0] + 2, grid.shape[1] + 2), float(MISSING_NEIGHBOR)
+    )
+    padded[1:-1, 1:-1] = grid
+    return padded[rr + 1 + di, cc + 1 + dj]
+
+
+def legacy_padded_cell_features(
+    table: Table,
+    line_probabilities: np.ndarray | None = None,
+    detector: DerivedDetector | None = None,
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The columnar ``CellFeatureExtractor.extract`` before cells were
+    addressed by flat index, verbatim: ``(row, col)`` tuples for every
+    cell and one ``-1``-padded grid per neighbour offset and source."""
+    detector = detector or DerivedDetector()
+    n_rows, n_cols = table.shape
+    n_classes = len(CONTENT_CLASSES)
+    if line_probabilities is None:
+        line_probabilities = np.full(
+            (n_rows, n_classes), 1.0 / n_classes
+        )
+    if line_probabilities.shape != (n_rows, n_classes):
+        raise InvalidParameterError(
+            f"line_probabilities must have shape "
+            f"({n_rows}, {n_classes}), got "
+            f"{line_probabilities.shape}"
+        )
+
+    profile = table_profile(table)
+    rr, cc = np.nonzero(profile.non_empty)
+    positions = list(zip(rr.tolist(), cc.tolist()))
+    if not positions:
+        return positions, np.zeros((0, len(CELL_FEATURE_NAMES)))
+
+    types = profile.dtype_grid.astype(np.float64)
+    lengths = profile.value_lengths.astype(np.float64)
+    max_length = lengths.max() if lengths.size else 1.0
+    if max_length <= 0:
+        max_length = 1.0
+    norm_lengths = lengths / max_length
+
+    probabilities = np.asarray(line_probabilities, dtype=np.float64)
+    derived_mask = profile.derived_mask(detector)
+
+    features = np.empty((len(positions), len(CELL_FEATURE_NAMES)))
+    # Content features.
+    features[:, 0] = norm_lengths[rr, cc]
+    features[:, 1] = types[rr, cc]
+    features[:, 2] = profile.keyword_mask[rr, cc]
+    features[:, 3] = profile.row_keyword[rr]
+    features[:, 4] = profile.col_keyword[cc]
+    features[:, 5] = rr / (n_rows - 1) if n_rows > 1 else 0.0
+    features[:, 6] = cc / (n_cols - 1) if n_cols > 1 else 0.0
+    features[:, 7 : 7 + n_classes] = probabilities[rr]
+
+    # Contextual features: boundary rows/columns count as empty.
+    base = 7 + n_classes
+    padded_empty_row = np.concatenate(
+        [[True], profile.empty_row, [True]]
+    )
+    padded_empty_col = np.concatenate(
+        [[True], profile.empty_col, [True]]
+    )
+    features[:, base + 0] = padded_empty_row[rr]
+    features[:, base + 1] = padded_empty_row[rr + 2]
+    features[:, base + 2] = padded_empty_col[cc]
+    features[:, base + 3] = padded_empty_col[cc + 2]
+    features[:, base + 4] = profile.row_empty_ratio[rr]
+    features[:, base + 5] = profile.col_empty_ratio[cc]
+    features[:, base + 6] = (
+        profile.block_size_grid[rr, cc] / (n_rows * n_cols)
+    )
+
+    for offset, (di, dj) in enumerate(_NEIGHBOR_OFFSETS):
+        features[:, base + 7 + offset] = legacy_shifted(
+            norm_lengths, rr, cc, di, dj
+        )
+        features[:, base + 15 + offset] = legacy_shifted(
+            types, rr, cc, di, dj
+        )
+
+    # Computational feature.
+    features[:, base + 23] = derived_mask[rr, cc]
+    return positions, features
+
+
 # ----------------------------------------------------------------------
 # Tables under test
 # ----------------------------------------------------------------------
@@ -695,6 +792,44 @@ class TestParity:
         assert detector.detect(fresh(table)) == legacy
 
 
+def _npy(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+#: The flat-index extractor's inputs: the parity tables, the 800-row
+#: deck file and the cropped tables of the result-array edge inputs.
+MATRIX_TABLES: list[tuple[str, Table]] = PROFILE_TABLES + [
+    (f"edge-bytes-{name}", crop_table(ingest_bytes(data).table))
+    for name, data in sorted(EDGE_BYTES.items())
+]
+
+
+@pytest.mark.parametrize(
+    "table", [t for _, t in MATRIX_TABLES], ids=[n for n, _ in MATRIX_TABLES]
+)
+def test_flat_index_matrix_matches_the_padded_grid_extractor(table):
+    """``matrix`` and ``extract`` equal the extractor that built one
+    padded grid per neighbour offset, down to ``np.save`` bytes, with
+    and without line probabilities."""
+    rng = np.random.default_rng(3)
+    for probabilities in (
+        None, rng.random((table.n_rows, len(CONTENT_CLASSES)))
+    ):
+        positions, want = legacy_padded_cell_features(
+            fresh(table), probabilities
+        )
+        extractor = CellFeatureExtractor()
+        got = extractor.matrix(fresh(table), probabilities)
+        assert _npy(got) == _npy(want)
+        got_positions, got_features = extractor.extract(
+            fresh(table), probabilities
+        )
+        assert got_positions == positions
+        assert _npy(got_features) == _npy(want)
+
+
 # ----------------------------------------------------------------------
 # Algorithm 2's one-pass scan against the step-by-step walk
 # ----------------------------------------------------------------------
@@ -792,6 +927,46 @@ class TestProfileGrids:
                 assert profile.keyword_mask[i, j] == (
                     legacy_contains_aggregation_keyword(value)
                 )
+
+    def test_a_non_number_is_the_nan_of_np_nan(self):
+        grid = table_profile(Table([["x", "1", ""], ["2019-01-02", "", "y"]]))
+        numbers = grid.numeric_grid
+        assert numbers[0, 1] == 1.0
+        nan = np.array(np.nan).tobytes()
+        for i, j in ((0, 0), (0, 2), (1, 0), (1, 1), (1, 2)):
+            assert numbers[i, j].tobytes() == nan
+
+    def test_grids_leave_the_memos_as_the_per_value_loops_did(self):
+        """``dtype_grid`` then ``numeric_grid`` leave the memos as the
+        per-value loops they replaced did: same hits, misses and
+        sizes."""
+        table = deck_table(200)
+
+        def memo_state():
+            return infer_data_type.cache_info(), parse_number.cache_info()
+
+        infer_data_type.cache_clear()
+        parse_number.cache_clear()
+        profile = table_profile(fresh(table))
+        codes, numbers = profile.dtype_grid, profile.numeric_grid
+        got = memo_state()
+        infer_data_type.cache_clear()
+        parse_number.cache_clear()
+        unique = table_profile(fresh(table)).unique_values
+        want_codes = np.fromiter(
+            (int(infer_data_type(value)) for value in unique),
+            dtype=np.int8,
+            count=len(unique),
+        )
+        parsed = [parse_number(value) for value in unique]
+        want_numbers = np.array(
+            [np.nan if value is None else value for value in parsed],
+            dtype=np.float64,
+        )
+        assert got == memo_state()
+        inverse = table_profile(fresh(table))._dispatch[1]
+        assert codes.tobytes() == want_codes[inverse].tobytes()
+        assert numbers.tobytes() == want_numbers[inverse].tobytes()
 
     def test_block_labels_partition_matches_dfs_components(self):
         for name, table in PROFILE_TABLES:
