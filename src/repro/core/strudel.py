@@ -35,7 +35,7 @@ pays it once per micro-batch; ``analyze``/``analyze_bytes``/
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -616,7 +616,6 @@ class LineToCellBaseline:
         return dict(zip(positions, labels))
 
 
-@dataclass
 class StructureResult:
     """Output of the end-to-end pipeline for one input text.
 
@@ -628,27 +627,36 @@ class StructureResult:
     (:data:`~repro.types.CLASS_CODES`) and keeps them on the result:
     ``line_codes`` (``int8``, one per row), ``cell_positions``
     (``int64``, ``(n, 2)``, the non-empty cells in row-major order)
-    and ``cell_codes`` (``int8``, aligned with the positions).
-    :meth:`from_codes` builds ``line_classes`` and ``cell_classes``
-    from them, so the corpus engine and the wire take the arrays as
-    they are.  A result built from classes alone, by keyword, has no
-    codes (``None``); they never take part in equality.
+    and ``cell_codes`` (``int8``, aligned with the positions).  A
+    result built by :meth:`from_codes` decodes ``line_classes`` and
+    ``cell_classes`` from them on first read, so the corpus engine and
+    the wire, which take the arrays as they are, never build a
+    :class:`~repro.types.CellClass` per cell.  A result built from
+    classes alone, by keyword, has no codes (``None``); classes passed
+    as ``None`` are decoded from the codes.  Equality compares the
+    dialect, the table, the classes and the ingest report, never the
+    codes.
     """
 
-    dialect: Dialect
-    table: Table
-    line_classes: list[CellClass]
-    cell_classes: dict[tuple[int, int], CellClass]
-    ingest: IngestReport | None = None
-    line_codes: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
-    cell_positions: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
-    cell_codes: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
+    def __init__(
+        self,
+        dialect: Dialect,
+        table: Table,
+        line_classes: list[CellClass] | None,
+        cell_classes: dict[tuple[int, int], CellClass] | None,
+        ingest: IngestReport | None = None,
+        line_codes: np.ndarray | None = None,
+        cell_positions: np.ndarray | None = None,
+        cell_codes: np.ndarray | None = None,
+    ):
+        self.dialect = dialect
+        self.table = table
+        self._line_classes = line_classes
+        self._cell_classes = cell_classes
+        self.ingest = ingest
+        self.line_codes = line_codes
+        self.cell_positions = cell_positions
+        self.cell_codes = cell_codes
 
     @classmethod
     def from_codes(
@@ -660,17 +668,47 @@ class StructureResult:
         cell_codes: np.ndarray,
         ingest: IngestReport | None = None,
     ) -> "StructureResult":
-        """A result whose class objects are decoded from its codes."""
-        rows, cols = cell_positions.T.tolist()
+        """A result that keeps its codes and decodes its class
+        objects from them when they are first read."""
         return cls(
-            dialect=dialect,
-            table=table,
-            line_classes=_classes_of(line_codes),
-            cell_classes=dict(zip(zip(rows, cols), _classes_of(cell_codes))),
-            ingest=ingest,
-            line_codes=line_codes,
-            cell_positions=cell_positions,
-            cell_codes=cell_codes,
+            dialect, table, None, None, ingest,
+            line_codes, cell_positions, cell_codes,
+        )
+
+    @property
+    def line_classes(self) -> list[CellClass]:
+        """Per-line classes, one per table row."""
+        if self._line_classes is None:
+            self._line_classes = _classes_of(self.line_codes)
+        return self._line_classes
+
+    @property
+    def cell_classes(self) -> dict[tuple[int, int], CellClass]:
+        """Non-empty cell positions mapped to their classes, in
+        row-major order."""
+        if self._cell_classes is None:
+            rows, cols = self.cell_positions.T.tolist()
+            self._cell_classes = dict(
+                zip(zip(rows, cols), _classes_of(self.cell_codes))
+            )
+        return self._cell_classes
+
+    def _compared(self) -> tuple:
+        return (
+            self.dialect, self.table, self.line_classes,
+            self.cell_classes, self.ingest,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(dialect={self.dialect!r}, "
+            f"table={self.table!r}, line_classes={self.line_classes!r}, "
+            f"cell_classes={self.cell_classes!r}, ingest={self.ingest!r})"
         )
 
 

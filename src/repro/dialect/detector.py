@@ -15,7 +15,10 @@ The type score T is a fraction of cells, so Q <= P.  ``detect`` uses
 that bound: it scores candidates in preference order and skips the
 type score of any candidate whose pattern score cannot beat the best Q
 so far, which returns the same winner for a fraction of the regex
-work.  ``rank`` is the full ranking, every candidate scored.
+work.  ``rank`` is the full ranking, every candidate scored.  Within
+one detection or ranking the candidates share one dict of per-value
+type verdicts, since their parses mostly hold the same cells; it is
+dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 
 from repro.dialect.dialect import Dialect
 from repro.dialect.patterns import pattern_score
-from repro.dialect.type_score import type_score
+from repro.dialect.type_score import shared_type_score
 from repro.errors import DialectError
-from repro.parsing import parse_csv_text
+from repro.parsing import ParseOutcome, parse_csv_outcome, parse_csv_text
 
 #: Delimiters considered, in tie-break preference order.
 CANDIDATE_DELIMITERS: tuple[str, ...] = (",", ";", "\t", "|", ":", " ", "^", "~")
@@ -139,16 +142,22 @@ class DialectDetector:
         with identical leading lines share one detection.  Raises
         :class:`DialectError` on empty input.
         """
+        return self.detect_parsed(text)[0]
+
+    def detect_parsed(self, text: str) -> tuple[Dialect, ParseOutcome | None]:
+        """:meth:`detect`'s dialect, with the parse of ``text`` under
+        it when detection has just made that parse: on a memo miss for
+        a text no longer than the sample (``None`` otherwise)."""
         sample = self._sample(text)
         if not sample.strip():
             raise DialectError("cannot detect the dialect of empty text")
         key = _sample_key(sample)
         cached = _memo_get(key)
         if cached is not None:
-            return cached
-        dialect = self._best(sample)
+            return cached, None
+        dialect, parsed = self._best(sample)
         _memo_put(key, dialect)
-        return dialect
+        return dialect, parsed if len(sample) == len(text) else None
 
     def rank(self, text: str) -> list[ScoredDialect]:
         """All candidate dialects scored and sorted best-first."""
@@ -157,9 +166,9 @@ class DialectDetector:
             return []
         return self._rank_sample(sample)
 
-    def _best(self, sample: str) -> Dialect:
+    def _best(self, sample: str) -> tuple[Dialect, ParseOutcome | None]:
         """The winner of :meth:`rank`, skipping the type score of every
-        candidate that cannot win.
+        candidate that cannot win, and its parse of ``sample``.
 
         Q = P * T with T <= 1, so a candidate whose pattern score P is
         no higher than the best Q so far cannot beat it.  Only a
@@ -168,23 +177,25 @@ class DialectDetector:
         Every Q is positive, so the first candidate always scores.
         """
         candidates = self._candidates(sample)
-        best, best_score = candidates[0], 0.0
+        verdicts: dict[str, bool] = {}
+        best, best_score, best_parse = candidates[0], 0.0, None
         for dialect in candidates:
-            rows = parse_csv_text(sample, dialect)
-            p = pattern_score(rows)
+            parsed = parse_csv_outcome(sample, dialect)
+            p = pattern_score(parsed.records)
             if p <= best_score:
                 continue
-            score = p * type_score(rows)
+            score = p * shared_type_score(parsed.records, verdicts)
             if score > best_score:
-                best, best_score = dialect, score
-        return best
+                best, best_score, best_parse = dialect, score, parsed
+        return best, best_parse
 
     def _rank_sample(self, sample: str) -> list[ScoredDialect]:
         scored: list[ScoredDialect] = []
+        verdicts: dict[str, bool] = {}
         for dialect in self._candidates(sample):
             rows = parse_csv_text(sample, dialect)
             p = pattern_score(rows)
-            t = type_score(rows)
+            t = shared_type_score(rows, verdicts)
             scored.append(ScoredDialect(dialect, p * t, p, t))
         # Stable sort: score descending, then candidate preference order
         # (enumeration order) ascending via the stable sort guarantee.

@@ -10,6 +10,7 @@ fragments that match nothing.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import chain
 
 # Ordered list of (name, pattern) pairs; a cell is "known" if any matches.
@@ -67,8 +68,28 @@ def type_score(rows: list[list[str]], eps: float = 1e-10) -> float:
     collapsing to zero for dialects that still produce a highly regular
     pattern, mirroring the published formulation.
     """
+    return shared_type_score(rows, {}, eps)
+
+
+def shared_type_score(
+    rows: list[list[str]], verdicts: dict[str, bool], eps: float = 1e-10
+) -> float:
+    """:func:`type_score`, testing each distinct value once.
+
+    ``verdicts`` maps values to their :func:`is_known_type` answers; a
+    value not in it is tested and added.  One dialect detection passes
+    one dict to every candidate it scores, because parses of the same
+    text mostly share their cells.  The known cells are still counted
+    as an integer, so the score is the same float.
+    """
     total = sum(map(len, rows))
     if total == 0:
         return eps
-    known = sum(map(is_known_type, chain.from_iterable(rows)))
+    known = 0
+    for value, count in Counter(chain.from_iterable(rows)).items():
+        verdict = verdicts.get(value)
+        if verdict is None:
+            verdict = verdicts[value] = is_known_type(value)
+        if verdict:
+            known += count
     return max(known / total, eps)

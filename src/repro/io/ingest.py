@@ -44,7 +44,7 @@ import codecs
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.dialect.detector import detect_dialect
+from repro.dialect.detector import DialectDetector
 from repro.dialect.dialect import Dialect
 from repro.errors import (
     DialectError,
@@ -423,10 +423,13 @@ def ingest_text(
         text = text.lstrip("\ufeff")
         report.bom = report.bom or "utf-8-sig"
 
+    # Detection may already have parsed the whole text under the
+    # dialect it picked (a memo miss on a text of at most 100 lines).
+    outcome = None
     if dialect is None:
         with get_tracer().span("dialect_detection"):
             try:
-                dialect = detect_dialect(text)
+                dialect, outcome = DialectDetector().detect_parsed(text)
             except DialectError:
                 # Strict mode propagates (a typed ReproError);
                 # lenient mode falls back to the standard dialect so
@@ -438,7 +441,8 @@ def ingest_text(
                 dialect = Dialect.standard()
                 report.dialect_fallback = True
     with get_tracer().span("parsing"):
-        outcome = parse_csv_outcome(text, dialect)
+        if outcome is None:
+            outcome = parse_csv_outcome(text, dialect)
         if outcome.unterminated_quote and policy.strict:
             raise MalformedInputError(
                 "unterminated quoted field at end of input"

@@ -47,11 +47,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import struct
 import sys
 import tempfile
 import threading
 import warnings
-import zipfile
 from collections import deque
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -98,12 +98,25 @@ _MAX_BATCH_FILES = 64
 #: one file at a time; a 10-file lake shard (25–42 kB) stays whole.
 _MAX_BATCH_BYTES = 64 * 1024
 
-#: What a damaged ``.npz`` raises on load: truncated zip containers,
-#: bad headers, missing members, a dialect member that is no dialect.
-#: Treated as a cache miss, never an error — the corrupt file is
-#: removed so it cannot poison anything.
-_CORRUPT_CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError,
-                         zipfile.BadZipFile, DialectError)
+#: A sweep-cache entry is one flat little-endian buffer: this header
+#: (a tag, the table's rows and columns, the line and cell counts, and
+#: the UTF-8 length of each dialect character), then the delimiter,
+#: quote and escape characters, the line codes (``int8``), the cell
+#: positions (``int64`` row, column pairs, row-major) and the cell
+#: codes (``int8``).  An entry whose tag differs, from another layout
+#: or another program, is damaged.
+_ENTRY_TAG = b"STRUDEL\x01"
+_ENTRY_HEADER = struct.Struct("<8s4q3B")
+
+#: Cache entries are named ``<key>`` plus this suffix.
+_ENTRY_SUFFIX = ".result"
+
+#: What a damaged entry raises on load: a read that fails, a tag,
+#: size field or dialect character that does not hold up
+#: (``ValueError``, ``UnicodeDecodeError`` among them) or characters
+#: that make no dialect.  Treated as a cache miss, never an error —
+#: the corrupt file is removed so it cannot poison anything.
+_CORRUPT_CACHE_ERRORS = (OSError, ValueError, DialectError)
 
 
 def file_content_hash(data: bytes) -> str:
@@ -158,11 +171,11 @@ class FileResult:
     """One swept file's classified structure, in array form.
 
     Arrays, not objects, so results are cheap to ship across process
-    boundaries, round-trip losslessly through the ``.npz`` sweep cache
-    (:meth:`save` / :meth:`load`) and compare byte-for-byte in the
-    parity tests.  ``line_codes`` / ``cell_codes`` hold
-    :data:`~repro.types.CLASS_CODES` values; decode through
-    :meth:`line_classes` / :meth:`cell_classes`.
+    boundaries, round-trip losslessly through the sweep cache as one
+    flat buffer (:meth:`save` / :meth:`load`) and compare
+    byte-for-byte in the parity tests.  ``line_codes`` /
+    ``cell_codes`` hold :data:`~repro.types.CLASS_CODES` values;
+    decode through :meth:`line_classes` / :meth:`cell_classes`.
     """
 
     path: Path
@@ -201,44 +214,72 @@ class FileResult:
         )
 
     def save(self, file) -> None:
-        """Write the five ``.npz`` members of a sweep-cache entry: the
-        three code arrays, the dialect's characters and the shape."""
-        np.savez(
-            file,
-            line_codes=self.line_codes,
-            cell_positions=self.cell_positions,
-            cell_codes=self.cell_codes,
-            dialect=np.array(
-                [
-                    self.dialect.delimiter,
-                    self.dialect.quotechar,
-                    self.dialect.escapechar,
-                ],
-                dtype=np.str_,
+        """Write this result to the binary file ``file`` as one
+        sweep-cache entry (the buffer :data:`_ENTRY_HEADER` opens)."""
+        dialect = self.dialect
+        chars = [
+            char.encode("utf-8", "surrogatepass")
+            for char in (
+                dialect.delimiter, dialect.quotechar, dialect.escapechar
+            )
+        ]
+        file.write(b"".join((
+            _ENTRY_HEADER.pack(
+                _ENTRY_TAG, self.n_rows, self.n_cols,
+                len(self.line_codes), len(self.cell_codes),
+                *map(len, chars),
             ),
-            shape=np.array([self.n_rows, self.n_cols], dtype=np.int64),
-        )
+            *chars,
+            np.asarray(self.line_codes, dtype=np.int8).tobytes(),
+            np.asarray(self.cell_positions, dtype="<i8").tobytes(),
+            np.asarray(self.cell_codes, dtype=np.int8).tobytes(),
+        )))
 
     @classmethod
     def load(cls, file, path: Path) -> "FileResult":
-        """The result :meth:`save` wrote to ``file``, for ``path``.
-        A damaged file raises what ``np.load`` raises on it, a
-        ``KeyError`` for a missing member or a
-        :class:`~repro.errors.DialectError` for a damaged dialect."""
-        with np.load(file) as archive:
-            dialect = archive["dialect"]
-            shape = archive["shape"]
-            return cls(
-                path=path,
-                dialect=Dialect(*map(str, dialect)),
-                n_rows=int(shape[0]),
-                n_cols=int(shape[1]),
-                line_codes=np.asarray(archive["line_codes"], dtype=np.int8),
-                cell_positions=np.asarray(
-                    archive["cell_positions"], dtype=np.int64
-                ).reshape(-1, 2),
-                cell_codes=np.asarray(archive["cell_codes"], dtype=np.int8),
+        """The result :meth:`save` wrote to the binary file ``file``,
+        for ``path``.  Every size field is checked against the entry's
+        length before an array is built, so a torn, foreign or
+        older-layout entry raises ``ValueError`` (a character that is
+        no dialect's: :class:`~repro.errors.DialectError`) and never
+        loads as a wrong result.  The arrays own their memory."""
+        data = file.read()
+        header = _ENTRY_HEADER.size
+        if len(data) < header:
+            raise ValueError("sweep-cache entry is shorter than its header")
+        tag, n_rows, n_cols, n_lines, n_cells, *widths = (
+            _ENTRY_HEADER.unpack_from(data)
+        )
+        if tag != _ENTRY_TAG:
+            raise ValueError("not a sweep-cache entry of this layout")
+        if min(n_rows, n_cols, n_lines, n_cells) < 0 or len(data) != (
+            header + sum(widths) + n_lines + 17 * n_cells
+        ):
+            raise ValueError("sweep-cache entry sizes disagree with its length")
+        chars = []
+        offset = header
+        for width in widths:
+            chars.append(
+                data[offset:offset + width].decode("utf-8", "surrogatepass")
             )
+            offset += width
+        line_codes = np.frombuffer(data, np.int8, n_lines, offset).copy()
+        offset += n_lines
+        cell_positions = (
+            np.frombuffer(data, "<i8", 2 * n_cells, offset)
+            .reshape(n_cells, 2)
+            .astype(np.int64)
+        )
+        offset += 16 * n_cells
+        return cls(
+            path=path,
+            dialect=Dialect(*chars),
+            n_rows=n_rows,
+            n_cols=n_cols,
+            line_codes=line_codes,
+            cell_positions=cell_positions,
+            cell_codes=np.frombuffer(data, np.int8, n_cells, offset).copy(),
+        )
 
     def line_classes(self) -> list[CellClass]:
         """Per-line classes, decoded to :class:`CellClass`."""
@@ -346,13 +387,17 @@ def _sweep_batch(batch):
 class SweepCache:
     """On-disk cache of swept-file results, content-addressed.
 
-    Entries are ``.npz`` files named by
-    ``sha256(content hash | model fingerprint | policy)``, written
-    atomically (temp file + ``os.replace``) so concurrent engines and
-    mid-write crashes can never leave a partial file behind, and a
+    Each entry is one :class:`FileResult` in its flat buffer
+    (:meth:`FileResult.save`), in a file named by
+    ``sha256(content hash | model fingerprint | policy)`` plus
+    ``.result``.  It is written whole to an exclusive temp file, then
+    moved into place with ``os.replace``, so concurrent engines and
+    mid-write crashes can never leave a partial entry behind, and a
     corrupt entry (however it got there) is removed and treated as a
-    miss.  Counters mirror into the metrics registry
-    (``sweep_cache.hits`` / ``sweep_cache.misses`` /
+    miss.  Files in the directory without the suffix, such as the
+    ``.npz`` entries of the layout before the flat buffer, are never
+    read, counted or evicted.  Counters mirror into the metrics
+    registry (``sweep_cache.hits`` / ``sweep_cache.misses`` /
     ``sweep_cache.evictions``) and snapshot through :meth:`stats`.
 
     Eviction is oldest-first by write time (``st_mtime_ns``, then
@@ -382,7 +427,7 @@ class SweepCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._count = len(sorted(self.directory.glob("*.npz")))
+        self._count = len(sorted(self.directory.glob(f"*{_ENTRY_SUFFIX}")))
 
     @staticmethod
     def entry_key(
@@ -415,9 +460,10 @@ class SweepCache:
         that slipped past the atomic write must cost one recompute,
         never poison every later sweep.
         """
-        entry = self.directory / f"{key}.npz"
+        entry = self.directory / f"{key}{_ENTRY_SUFFIX}"
         try:
-            result = FileResult.load(entry, path)
+            with open(entry, "rb") as handle:
+                result = FileResult.load(handle, path)
         except FileNotFoundError:
             result = None
         except _CORRUPT_CACHE_ERRORS:
@@ -438,19 +484,17 @@ class SweepCache:
 
     def store(self, key: str, result: FileResult) -> None:
         """Write one entry atomically; evict oldest past the bound."""
-        entry = self.directory / f"{key}.npz"
+        entry = self.directory / f"{key}{_ENTRY_SUFFIX}"
         if entry.exists():
             return
-        handle = tempfile.NamedTemporaryFile(
-            dir=self.directory, suffix=".tmp", delete=False
-        )
+        fd, temp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with handle:
+            with os.fdopen(fd, "wb") as handle:
                 result.save(handle)
-            os.replace(handle.name, entry)
+            os.replace(temp, entry)
         except BaseException:
             try:
-                os.unlink(handle.name)
+                os.unlink(temp)
             except OSError:
                 pass
             raise
@@ -465,7 +509,7 @@ class SweepCache:
         (write-time LRU) down to the low-water mark, and take the
         directory's count as the cache's size."""
         entries = sorted(
-            self.directory.glob("*.npz"),
+            self.directory.glob(f"*{_ENTRY_SUFFIX}"),
             key=lambda p: (p.stat().st_mtime_ns, p.name),
         )
         keep = self.max_entries - self.max_entries // 8

@@ -9,25 +9,92 @@ candidate) and ``is_known_type`` must agree with
 :func:`cell_type_name`.  The plain-text acquisition, whose surviving
 files are decided by detection, is pinned at its values from before
 the pruning.
+
+Since the candidates of one detection share their per-value type
+verdicts, ``legacy_best`` and ``legacy_rank_sample`` (with the
+``legacy_type_score`` they called) keep the detector from before,
+verbatim: the winner must be the same dialect and every ranked score
+the same float.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench import inputs
 from repro.datagen.corpora import CORPUS_BUILDERS, make_corpus, make_mendeley
 from repro.datagen.plaintext import EMISSION_DIALECTS, acquire_plain_text_corpus
 from repro.dialect.detector import (
     CANDIDATE_DELIMITERS,
     DialectDetector,
+    ScoredDialect,
     clear_dialect_memo,
 )
+from repro.dialect.dialect import Dialect
+from repro.dialect.patterns import pattern_score
 from repro.dialect.type_score import cell_type_name, is_known_type
 from repro.errors import DialectError
+from repro.fuzz import FuzzConfig, run_fuzz
+from repro.io.ingest import ingest_bytes
 from repro.io.writer import write_csv_text
 from repro.parsing import parse_csv_text
+
+
+# ----------------------------------------------------------------------
+# Oracles: the detector before candidates shared their type verdicts
+# ----------------------------------------------------------------------
+def legacy_type_score(rows: list[list[str]], eps: float = 1e-10) -> float:
+    """Fraction of cells with a recognizable type, floored at ``eps``."""
+    total = sum(map(len, rows))
+    if total == 0:
+        return eps
+    known = sum(map(is_known_type, chain.from_iterable(rows)))
+    return max(known / total, eps)
+
+
+def legacy_best(self, sample: str) -> Dialect:
+    """The winner of :meth:`rank`, skipping the type score of every
+    candidate that cannot win."""
+    candidates = self._candidates(sample)
+    best, best_score = candidates[0], 0.0
+    for dialect in candidates:
+        rows = parse_csv_text(sample, dialect)
+        p = pattern_score(rows)
+        if p <= best_score:
+            continue
+        score = p * legacy_type_score(rows)
+        if score > best_score:
+            best, best_score = dialect, score
+    return best
+
+
+def legacy_rank_sample(self, sample: str) -> list[ScoredDialect]:
+    scored: list[ScoredDialect] = []
+    for dialect in self._candidates(sample):
+        rows = parse_csv_text(sample, dialect)
+        p = pattern_score(rows)
+        t = legacy_type_score(rows)
+        scored.append(ScoredDialect(dialect, p * t, p, t))
+    scored.sort(key=lambda s: -s.score)
+    return scored
+
+
+def _assert_matches_the_oracles(text: str) -> None:
+    """The same winner and parse as the oracle, and the same ranking
+    down to every float."""
+    detector = DialectDetector()
+    sample = detector._sample(text)
+    if not sample.strip():
+        assert detector.rank(text) == []
+        return
+    winner, parsed = detector._best(sample)
+    assert winner == legacy_best(detector, sample), text
+    assert parsed.records == parse_csv_text(sample, winner), text
+    assert detector.rank(text) == legacy_rank_sample(detector, sample), text
 
 _TEXTS = st.lists(
     st.one_of(
@@ -127,3 +194,58 @@ def test_mendeley_acquisition_is_pinned():
         "';'": (3, 3),
         "'|'": (5, 5),
     }
+
+
+# ----------------------------------------------------------------------
+# Shared type verdicts: the same winner and scores as before
+# ----------------------------------------------------------------------
+@given(text=_TEXTS)
+@settings(max_examples=200, deadline=None)
+def test_shared_verdicts_match_the_oracles_on_generated_text(text):
+    _assert_matches_the_oracles(text)
+
+
+def test_shared_verdicts_match_the_oracles_on_personality_files(
+    personality_texts,
+):
+    """Every corpus personality under every ``EMISSION_DIALECTS``
+    dialect."""
+    for text in personality_texts:
+        _assert_matches_the_oracles(text)
+
+
+@pytest.fixture
+def checked_samples(monkeypatch) -> list[str]:
+    """Every sample ``_best`` scores from here on is also scored by
+    ``legacy_best``, which must pick the same dialect; the samples
+    checked are collected."""
+    checked: list[str] = []
+    best = DialectDetector._best
+
+    def checked_best(self, sample):
+        winner = best(self, sample)
+        assert winner[0] == legacy_best(self, sample), sample[:200]
+        checked.append(sample)
+        return winner
+
+    monkeypatch.setattr(DialectDetector, "_best", checked_best)
+    clear_dialect_memo()
+    yield checked
+    clear_dialect_memo()
+
+
+def test_shared_verdicts_match_the_oracle_on_the_bench_lake_and_deck(
+    checked_samples,
+):
+    sources = inputs.lake(0) + inputs.deck(0)
+    for source in sources:
+        ingest_bytes(source.data)
+    assert len(checked_samples) == len(sources) == 136
+
+
+def test_shared_verdicts_match_the_oracle_on_fuzz_inputs(checked_samples):
+    """The inputs of ``repro fuzz`` at its defaults, strict and
+    lenient."""
+    report = run_fuzz(FuzzConfig())
+    assert report.ok
+    assert len(checked_samples) > 100

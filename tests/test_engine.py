@@ -11,7 +11,9 @@ aborts a sweep.
 
 from __future__ import annotations
 
+import io
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -169,6 +171,111 @@ def _fake_entry(seed: int) -> FileResult:
     )
 
 
+#: The sweep-cache entry layout, spelled out apart from
+#: ``FileResult.save``: a tag, then rows, columns, line count and cell
+#: count (little-endian ``int64``) and the byte length of each dialect
+#: character.
+_ENTRY_TAG = b"STRUDEL\x01"
+_ENTRY_HEADER = "<8s4q3B"
+
+
+def _entry_bytes(counts, chars, body, tag=_ENTRY_TAG) -> bytes:
+    """A hand-built entry: the header for ``counts`` (rows, columns,
+    lines, cells) and ``chars`` (the dialect's UTF-8 characters),
+    then ``chars`` and ``body`` (codes and positions)."""
+    header = struct.pack(_ENTRY_HEADER, tag, *counts, *map(len, chars))
+    return header + b"".join(chars) + body
+
+
+def _cells_entry() -> FileResult:
+    """A result with cells and every dialect character set."""
+    return FileResult(
+        path=Path("f.csv"),
+        dialect=Dialect(";", "'", "\\"),
+        n_rows=3,
+        n_cols=2,
+        line_codes=np.array([1, 6, 2], dtype=np.int8),
+        cell_positions=np.array([[0, 0], [2, 1]], dtype=np.int64),
+        cell_codes=np.array([1, 2], dtype=np.int8),
+    )
+
+
+def _saved(result: FileResult) -> bytes:
+    buffer = io.BytesIO()
+    result.save(buffer)
+    return buffer.getvalue()
+
+
+def test_an_entry_is_the_flat_little_endian_buffer():
+    """Header, dialect characters, line codes, row-major ``int64``
+    position pairs, cell codes: nothing else, in that order."""
+    body = (
+        bytes([1, 6, 2])
+        + struct.pack("<4q", 0, 0, 2, 1)
+        + bytes([1, 2])
+    )
+    assert _saved(_cells_entry()) == _entry_bytes(
+        (3, 2, 3, 2), (b";", b"'", b"\\"), body
+    )
+
+
+def _assert_removed_miss(tmp_path, data: bytes) -> None:
+    """``data`` at an entry's place is a miss that is removed, and
+    never raises."""
+    cache = SweepCache(tmp_path)
+    key = SweepCache.entry_key("content", "model", "policy")
+    entry = tmp_path / f"{key}.result"
+    entry.write_bytes(data)
+    assert cache.load(key, Path("f.csv")) is None, data
+    assert not entry.exists(), data
+    assert cache.stats()["misses"] == 1
+
+
+def test_every_truncation_of_an_entry_is_a_removed_miss(tmp_path):
+    data = _saved(_cells_entry())
+    for end in range(len(data)):
+        _assert_removed_miss(tmp_path, data[:end])
+
+
+#: Entries whose bytes do not hold up, by what is wrong with them.
+_DAMAGED_ENTRIES = {
+    "wrong-tag": _entry_bytes((1, 1, 1, 0), (b",", b"", b""), b"\x00",
+                              tag=b"STRUDEL\x02"),
+    "foreign-file": b"PK\x03\x04" + bytes(60),
+    "trailing-byte": _entry_bytes((1, 1, 1, 0), (b",", b"", b""), b"\x00\x00"),
+    "line-count-over-length": _entry_bytes(
+        (1, 1, 2, 0), (b",", b"", b""), b"\x00"
+    ),
+    "cell-count-over-length": _entry_bytes(
+        (1, 1, 1, 1), (b",", b"", b""), b"\x00"
+    ),
+    "absurd-cell-count": _entry_bytes(
+        (1, 1, 1, 2**62), (b",", b"", b""), b"\x00"
+    ),
+    # A negative cell count the length check alone would accept:
+    # header + 3 + 18 - 17 bytes is exactly what is there.
+    "negative-cell-count": _entry_bytes(
+        (1, 1, 18, -1), (b",", b"", b""), b"\x00"
+    ),
+    "negative-rows": _entry_bytes((-1, 1, 1, 0), (b",", b"", b""), b"\x00"),
+    "dialect-not-utf8": _entry_bytes((1, 1, 1, 0), (b"\xff", b"", b""), b"\x00"),
+    "dialect-width-past-end": _entry_bytes(
+        (1, 1, 0, 0), (b",", b"", b""), b""
+    )[:-1],
+    "dialect-two-characters": _entry_bytes(
+        (1, 1, 1, 0), (b";,", b"", b""), b"\x00"
+    ),
+    "dialect-quote-is-delimiter": _entry_bytes(
+        (1, 1, 1, 0), (b",", b",", b""), b"\x00"
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGED_ENTRIES))
+def test_a_damaged_entry_is_a_removed_miss(tmp_path, damage):
+    _assert_removed_miss(tmp_path, _DAMAGED_ENTRIES[damage])
+
+
 def test_sweep_cache_entry_key_covers_all_three_parts():
     keys = {
         SweepCache.entry_key("c1", "m1", "p1"),
@@ -191,9 +298,9 @@ def test_sweep_cache_roundtrip_and_corrupt_entry_quarantine(tmp_path):
 
     # Torn write on disk: the entry is dropped and costs one miss,
     # never an exception, and the next store repopulates it.
-    (tmp_path / f"{key}.npz").write_bytes(b"definitely not a zip")
+    (tmp_path / f"{key}.result").write_bytes(b"definitely not an entry")
     assert cache.load(key, tmp_path / "f.csv") is None
-    assert not (tmp_path / f"{key}.npz").exists()
+    assert not (tmp_path / f"{key}.result").exists()
     cache.store(key, _fake_entry(0))
     assert cache.load(key, tmp_path / "f.csv") is not None
     stats = cache.stats()
@@ -201,20 +308,14 @@ def test_sweep_cache_roundtrip_and_corrupt_entry_quarantine(tmp_path):
 
 
 def test_sweep_cache_quarantines_an_entry_with_a_damaged_dialect(tmp_path):
-    """An entry whose dialect member holds no dialect is a miss that
-    is removed, like any other corrupt entry, never an error."""
+    """An entry whose dialect characters make no dialect is a miss
+    that is removed, like any other corrupt entry, never an error."""
     cache = SweepCache(tmp_path)
     key = SweepCache.entry_key("content", "model", "policy")
-    entry = tmp_path / f"{key}.npz"
-    with open(entry, "wb") as handle:
-        np.savez(
-            handle,
-            line_codes=np.zeros(1, dtype=np.int8),
-            cell_positions=np.zeros((0, 2), dtype=np.int64),
-            cell_codes=np.zeros(0, dtype=np.int8),
-            dialect=np.array(["", '"', ""], dtype=np.str_),
-            shape=np.array([1, 1], dtype=np.int64),
-        )
+    entry = tmp_path / f"{key}.result"
+    # One row, one column, one line code, no cell; delimiter "",
+    # quote '"', escape "".
+    entry.write_bytes(_entry_bytes((1, 1, 1, 0), (b"", b'"', b""), b"\x00"))
     assert cache.load(key, tmp_path / "f.csv") is None
     assert not entry.exists()
     assert cache.stats()["misses"] == 1
@@ -226,13 +327,13 @@ def test_sweep_cache_evicts_oldest_past_the_bound(tmp_path):
     for i, key in enumerate(keys):
         cache.store(key, _fake_entry(i))
         os.utime(  # make write order unambiguous for the mtime LRU
-            tmp_path / f"{key}.npz", ns=(i * 1_000_000, i * 1_000_000)
+            tmp_path / f"{key}.result", ns=(i * 1_000_000, i * 1_000_000)
         )
         if i == 2:
             break
     stats = cache.stats()
     assert stats["size"] == 2 and stats["evictions"] == 1
-    assert not (tmp_path / f"{keys[0]}.npz").exists()
+    assert not (tmp_path / f"{keys[0]}.result").exists()
     assert cache.load(keys[2], tmp_path / "f.csv") is not None
 
 
@@ -256,11 +357,13 @@ def test_sweep_cache_scans_the_directory_once_per_eighth_of_the_bound(
     keys = [SweepCache.entry_key(f"c{i}", "m", "p") for i in range(bound + past)]
     for i, key in enumerate(keys):
         cache.store(key, _fake_entry(i))
-        os.utime(tmp_path / f"{key}.npz", ns=(i * 1_000_000, i * 1_000_000))
+        os.utime(
+            tmp_path / f"{key}.result", ns=(i * 1_000_000, i * 1_000_000)
+        )
         assert cache.stats()["size"] <= bound
     assert scans <= past // (bound // 8)
     stats = cache.stats()
-    survivors = {p.stem for p in real_glob(tmp_path, "*.npz")}
+    survivors = {p.stem for p in real_glob(tmp_path, "*.result")}
     assert survivors == set(keys[-stats["size"]:])
     assert stats["evictions"] == len(keys) - stats["size"]
 
@@ -391,7 +494,7 @@ def test_sweep_poison_file_skips_without_aborting(
         assert skip.stage == "classify"
         assert "SizeLimitError" in skip.reason
     # Failures are never admitted into the sweep cache.
-    assert len(list(cache_dir.glob("*.npz"))) == report.completed
+    assert len(list(cache_dir.glob("*.result"))) == report.completed
 
 
 def test_sweep_worker_crash_is_loud_and_survivable(

@@ -355,3 +355,112 @@ def tiny_pipeline(tiny_corpus):
     pipeline = StrudelPipeline(n_estimators=8, random_state=0)
     pipeline.fit(tiny_corpus.files[:8])
     return pipeline
+
+
+# ----------------------------------------------------------------------
+# One parse when the detection sample is the whole text
+# ----------------------------------------------------------------------
+#: Texts whose detection sample (100 lines as ``splitlines`` counts
+#: them) is the whole text, by what they exercise.
+_WHOLE_SAMPLE_TEXTS = {
+    "plain": PLAIN,
+    "unterminated-quote": (
+        'name,value\n"North, East",5\n"South, West",6\nx,"open\n'
+    ),
+    "dangling-escape": 'h,v\n"x\\"y,z",1\n"p\\"q,r",2\n"s\\"t,u",3\nw,4\\',
+    "cr-endings": "a,b\r1,2\r3,4\r",
+    # Line breaks to ``splitlines``, field text to the parser.
+    "splitlines-only-breaks": "a,b\x0bc,d\n1,2\x0c3,4\u20285,6\n",
+    "bom": "\ufeffa;b\n1;2\n",
+    "nuls": "a,b\x00\n1,2\n",
+    "100-lines": "".join(f"r{i},{i}\n" for i in range(100)),
+}
+
+#: Texts whose sample stops short of the end.
+_LONGER_TEXTS = {
+    "101-lines": "".join(f"r{i},{i}\n" for i in range(101)),
+    "101-lines-by-splitlines": "a,b\x0c" * 100 + "c,d\n",
+}
+
+
+def _ingest_outcome(text: str, policy: IngestPolicy):
+    """What ``ingest_text`` gives on a memo miss: the rows, dialect,
+    text and report, or the typed error it raised."""
+    from repro.dialect.detector import clear_dialect_memo
+
+    clear_dialect_memo()
+    try:
+        result = ingest_text(text, policy=policy)
+    except ReproError as error:
+        return type(error), str(error)
+    return (
+        list(result.table.rows()), result.dialect, result.text,
+        result.report,
+    )
+
+
+def _count_parses(monkeypatch) -> list:
+    import repro.io.ingest as ingest_mod
+
+    calls = []
+    parse = ingest_mod.parse_csv_outcome
+
+    def counted(text, dialect):
+        calls.append(text)
+        return parse(text, dialect)
+
+    monkeypatch.setattr(ingest_mod, "parse_csv_outcome", counted)
+    return calls
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize(
+    "name", sorted(_WHOLE_SAMPLE_TEXTS) + sorted(_LONGER_TEXTS)
+)
+def test_ingest_reuses_the_detection_parse(name, strict, monkeypatch):
+    """The same table and report as a forced full parse; the text is
+    parsed again only when the sample stops short of it."""
+    from repro.dialect.detector import DialectDetector
+
+    text = {**_WHOLE_SAMPLE_TEXTS, **_LONGER_TEXTS}[name]
+    policy = IngestPolicy(strict=strict)
+    parses = _count_parses(monkeypatch)
+    got = _ingest_outcome(text, policy)
+    reparsed = len(parses)
+    detect_parsed = DialectDetector.detect_parsed
+    monkeypatch.setattr(
+        DialectDetector,
+        "detect_parsed",
+        lambda self, text: (detect_parsed(self, text)[0], None),
+    )
+    assert got == _ingest_outcome(text, policy)
+    if isinstance(got[0], type):
+        assert strict and name in ("unterminated-quote", "nuls"), got
+        return
+    assert reparsed == (name in _LONGER_TEXTS)
+    report = got[3]
+    if name == "unterminated-quote":
+        assert report.unterminated_quote
+    if name == "dangling-escape":
+        assert report.dangling_escape
+    if name == "splitlines-only-breaks":
+        assert len(got[0]) == 2
+
+
+def test_a_detection_memo_hit_parses_the_text(monkeypatch):
+    from repro.dialect.detector import clear_dialect_memo
+
+    clear_dialect_memo()
+    first = ingest_text(PLAIN)
+    parses = _count_parses(monkeypatch)
+    second = ingest_text(PLAIN)
+    assert len(parses) == 1
+    assert list(second.table.rows()) == list(first.table.rows())
+    assert second.report == first.report
+    assert second.dialect == first.dialect
+
+
+def test_an_explicit_dialect_parses_the_text(monkeypatch):
+    parses = _count_parses(monkeypatch)
+    ingest_text(PLAIN, dialect=Dialect(","))
+    assert len(parses) == 1

@@ -10,29 +10,36 @@ kept verbatim: ``legacy_encode_structure`` (the engine's flattening of a
 ``CellClass`` list and ``(row, col)`` dict first.  A fourth,
 ``legacy_structure_arrays``, is the engine's array encoder from before
 a ``FileResult`` was built straight from the pipeline's result and
-saved itself: it wrote the five members of a sweep-cache entry.  Every
-comparison is down to dtype, shape, memory order and bytes (``np.save``
-of each array, which is what a sweep-cache entry stores), and to the
+saved itself: it wrote the five members of a sweep-cache entry.
+``legacy_save``/``legacy_load`` are ``FileResult.save``/``load`` from
+before an entry became one flat buffer (a five-member ``.npz``), and
+``legacy_from_codes`` is ``StructureResult.from_codes`` from before it
+decoded its classes on first read.  Every comparison is down to dtype,
+shape, memory order and bytes (``np.save`` of each array), and to the
 exact wire line.
 """
 
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.core.strudel as strudel_mod
 from repro.core.strudel import (
     StrudelPipeline,
     StructureResult,
     _apply_columns,
+    _classes_of,
     align_class_probabilities,
 )
 from repro.datagen.corpora import CORPUS_BUILDERS, make_corpus
 from repro.io.writer import write_csv_text
-from repro.perf.engine import FileResult, SweepCache
+from repro.dialect.dialect import Dialect
+from repro.perf.engine import CorpusEngine, FileResult, SweepCache
 from repro.serve.protocol import (
     decode_response,
     encode_response,
@@ -142,6 +149,71 @@ def legacy_structure_arrays(result) -> dict[str, np.ndarray]:
     }
 
 
+def legacy_save(self, file) -> None:
+    """Write the five ``.npz`` members of a sweep-cache entry: the
+    three code arrays, the dialect's characters and the shape."""
+    np.savez(
+        file,
+        line_codes=self.line_codes,
+        cell_positions=self.cell_positions,
+        cell_codes=self.cell_codes,
+        dialect=np.array(
+            [
+                self.dialect.delimiter,
+                self.dialect.quotechar,
+                self.dialect.escapechar,
+            ],
+            dtype=np.str_,
+        ),
+        shape=np.array([self.n_rows, self.n_cols], dtype=np.int64),
+    )
+
+
+def legacy_load(file, path: Path) -> FileResult:
+    """The result :meth:`save` wrote to ``file``, for ``path``.
+    A damaged file raises what ``np.load`` raises on it, a
+    ``KeyError`` for a missing member or a
+    :class:`~repro.errors.DialectError` for a damaged dialect."""
+    cls = FileResult
+    with np.load(file) as archive:
+        dialect = archive["dialect"]
+        shape = archive["shape"]
+        return cls(
+            path=path,
+            dialect=Dialect(*map(str, dialect)),
+            n_rows=int(shape[0]),
+            n_cols=int(shape[1]),
+            line_codes=np.asarray(archive["line_codes"], dtype=np.int8),
+            cell_positions=np.asarray(
+                archive["cell_positions"], dtype=np.int64
+            ).reshape(-1, 2),
+            cell_codes=np.asarray(archive["cell_codes"], dtype=np.int8),
+        )
+
+
+def legacy_from_codes(
+    cls,
+    dialect,
+    table,
+    line_codes: np.ndarray,
+    cell_positions: np.ndarray,
+    cell_codes: np.ndarray,
+    ingest=None,
+) -> StructureResult:
+    """A result whose class objects are decoded from its codes."""
+    rows, cols = cell_positions.T.tolist()
+    return cls(
+        dialect=dialect,
+        table=table,
+        line_classes=_classes_of(line_codes),
+        cell_classes=dict(zip(zip(rows, cols), _classes_of(cell_codes))),
+        ingest=ingest,
+        line_codes=line_codes,
+        cell_positions=cell_positions,
+        cell_codes=cell_codes,
+    )
+
+
 def legacy_line_classes(self) -> list[CellClass]:
     """Per-line classes, decoded to :class:`CellClass`."""
     return [_CODE_TO_CLASS[int(code)] for code in self.line_codes]
@@ -234,13 +306,33 @@ def entry_of(arrays: dict[str, np.ndarray]) -> io.BytesIO:
     return buffer
 
 
-def saved_arrays(result: FileResult) -> dict[str, np.ndarray]:
-    """The members :meth:`FileResult.save` writes for ``result``."""
+def reloaded(result: FileResult) -> FileResult:
+    """``result`` saved as a sweep-cache entry and loaded back."""
     buffer = io.BytesIO()
     result.save(buffer)
     buffer.seek(0)
-    with np.load(buffer) as archive:
-        return {name: archive[name] for name in archive.files}
+    return FileResult.load(buffer, result.path)
+
+
+def saved_arrays(result: FileResult) -> dict[str, np.ndarray]:
+    """What a sweep-cache entry of ``result`` reloads to, as the five
+    members the ``.npz`` entries held: the three code arrays, the
+    dialect's characters and the shape."""
+    back = reloaded(result)
+    return {
+        "line_codes": back.line_codes,
+        "cell_positions": back.cell_positions,
+        "cell_codes": back.cell_codes,
+        "dialect": np.array(
+            [
+                back.dialect.delimiter,
+                back.dialect.quotechar,
+                back.dialect.escapechar,
+            ],
+            dtype=np.str_,
+        ),
+        "shape": np.array([back.n_rows, back.n_cols], dtype=np.int64),
+    }
 
 
 def _legacy_structure(pipeline, result: StructureResult) -> StructureResult:
@@ -266,7 +358,7 @@ def _assert_arrays_and_wire(pipeline, name: str, result: StructureResult):
     for key in ("line_codes", "cell_positions", "cell_codes"):
         assert _npy(getattr(new_file, key)) == _npy(old_arrays[key]), key
 
-    old_file = FileResult.load(entry_of(old_arrays), Path(name))
+    old_file = legacy_load(entry_of(old_arrays), Path(name))
     assert new_file.line_classes() == legacy_line_classes(old_file)
     assert new_file.cell_classes() == legacy_cell_classes(old_file)
     line = encode_response(success_response(name, new_file))
@@ -349,40 +441,150 @@ def test_public_classes_agree_with_the_codes(pipeline):
 
 
 def _cache_inputs(pipeline):
+    for personality in sorted(CORPUS_BUILDERS):
+        corpus = make_corpus(personality, seed=7, scale=0.02)
+        for file in corpus.files[:3]:
+            data = write_csv_text(file.table.rows()).encode("utf-8")
+            yield f"{personality}/{file.name}", pipeline.analyze_bytes(data)
     for name in sorted(EDGE_BYTES):
         yield name, pipeline.analyze_bytes(EDGE_BYTES[name])
-    corpus = make_corpus("saus", seed=7, scale=0.02)
-    for file in corpus.files[:3]:
-        data = write_csv_text(file.table.rows()).encode("utf-8")
-        yield file.name, pipeline.analyze_bytes(data)
+    for name, rows in sorted(EDGE_TABLES.items()):
+        yield f"table-{name}", pipeline.analyze_table(Table(rows))
+    yield "analyze-surrogate", pipeline.analyze("\ud800,Q1\nNorth,5\n\n,\nx,1\n")
+
+
+def _assert_same_file(got: FileResult, want: FileResult, name: str) -> None:
+    """Same path, dialect and shape, and the same arrays down to
+    dtype, shape, memory order and bytes; the loaded arrays own their
+    memory and are writable and C-contiguous."""
+    assert (got.path, got.dialect, got.n_rows, got.n_cols) == (
+        want.path, want.dialect, want.n_rows, want.n_cols
+    ), name
+    for key in ("line_codes", "cell_positions", "cell_codes"):
+        array = getattr(got, key)
+        assert _npy(array) == _npy(getattr(want, key)), (name, key)
+        flags = array.flags
+        assert flags.owndata and flags.writeable and flags.c_contiguous, (
+            name, key,
+        )
 
 
 def test_cache_entries_reload_like_the_array_encoders(pipeline, tmp_path):
-    """An entry ``SweepCache.store`` writes holds the members the
-    engine's array encoder wrote, and both reload to the same arrays
-    (``np.savez`` stamps a time, so members are compared, not
-    files)."""
+    """An entry ``SweepCache.store`` writes reloads to the result it
+    stored and to the arrays the engine's array encoder gave, for
+    every corpus and edge input (a result without a non-empty cell
+    among them) and for a dialect of lone surrogates."""
     cache = SweepCache(tmp_path)
+    stored = 0
     for name, result in _cache_inputs(pipeline):
-        cache.store(f"new-{name}", FileResult.of(Path(name), result))
-        (tmp_path / f"old-{name}.npz").write_bytes(
-            entry_of(legacy_structure_arrays(result)).getvalue()
-        )
-        with np.load(tmp_path / f"new-{name}.npz") as new, \
-                np.load(tmp_path / f"old-{name}.npz") as old:
-            assert new.files == old.files, name
-            for member in old.files:
-                assert _npy(new[member]) == _npy(old[member]), (name, member)
-        new_file = cache.load(f"new-{name}", Path(name))
-        old_file = cache.load(f"old-{name}", Path(name))
-        assert (new_file.path, new_file.dialect, new_file.n_rows,
-                new_file.n_cols) == (old_file.path, old_file.dialect,
-                                     old_file.n_rows, old_file.n_cols)
+        want = FileResult.of(Path(name), result)
+        variants = [want]
+        if name == "no-non-empty-cell":
+            assert want.cell_positions.shape == (0, 2)
+        if name == "analyze-surrogate":
+            variants.append(replace(want, dialect=Dialect("\ud800", "\udfff")))
+        for variant in variants:
+            key = SweepCache.entry_key(f"{name}-{stored}", "model", "policy")
+            stored += 1
+            cache.store(key, variant)
+            got = cache.load(key, Path(name))
+            _assert_same_file(got, variant, name)
+            _assert_same_file(reloaded(variant), variant, name)
+        legacy = legacy_structure_arrays(result)
         for key in ("line_codes", "cell_positions", "cell_codes"):
-            assert _npy(getattr(new_file, key)) == _npy(
-                getattr(old_file, key)
-            ), (name, key)
-            assert _npy(getattr(new_file, key)) == _npy(
-                getattr(result, key)
-            ), (name, key)
+            assert _npy(getattr(got, key)) == _npy(legacy[key]), (name, key)
     assert cache.stats()["misses"] == 0
+
+
+def test_entries_of_the_previous_layout_are_never_results(pipeline, tmp_path):
+    """A five-member ``.npz`` entry, as written before an entry became
+    one flat buffer: in an entry's place it is a miss that is
+    removed; under its own name it is never read, counted or
+    evicted."""
+    old_dir, moved_dir = tmp_path / "old", tmp_path / "moved"
+    cache = SweepCache(old_dir, max_entries=1)
+    moved = SweepCache(moved_dir)
+    olds = []
+    for name, result in _cache_inputs(pipeline):
+        buffer = io.BytesIO()
+        legacy_save(FileResult.of(Path(name), result), buffer)
+        key = SweepCache.entry_key(name, "model", "policy")
+        (moved_dir / f"{key}.result").write_bytes(buffer.getvalue())
+        assert moved.load(key, Path(name)) is None, name
+        assert not (moved_dir / f"{key}.result").exists(), name
+        olds.append(old_dir / f"{key}.npz")
+        olds[-1].write_bytes(buffer.getvalue())
+        assert cache.load(key, Path(name)) is None, name
+    assert SweepCache(old_dir).stats()["size"] == 0
+    for i, (name, result) in enumerate(_cache_inputs(pipeline)):
+        if i == 3:
+            break
+        key = SweepCache.entry_key(f"new-{name}", "model", "policy")
+        cache.store(key, FileResult.of(Path(name), result))
+    assert cache.stats()["evictions"] == 2
+    assert all(old.exists() for old in olds)
+    assert moved.stats()["misses"] == len(olds)
+
+
+def _spy_on_decoding(monkeypatch) -> list:
+    """Record every code array :func:`_classes_of` decodes."""
+    calls = []
+
+    def spy(codes):
+        calls.append(codes)
+        return _classes_of(codes)
+
+    monkeypatch.setattr(strudel_mod, "_classes_of", spy)
+    return calls
+
+
+def _with_first_line_changed(result: StructureResult) -> StructureResult:
+    """``result`` with its first line's class changed."""
+    lines = list(result.line_classes)
+    lines[0] = CellClass.NOTES if lines[0] != CellClass.NOTES else CellClass.DATA
+    return StructureResult(
+        dialect=result.dialect, table=result.table, line_classes=lines,
+        cell_classes=result.cell_classes, ingest=result.ingest,
+    )
+
+
+def test_results_decode_their_classes_on_first_read(pipeline, monkeypatch):
+    """``from_codes`` builds no class object; the first read decodes
+    what the eager ``from_codes`` did, a second read returns the same
+    object, and equality with keyword-built results still holds."""
+    calls = _spy_on_decoding(monkeypatch)
+    for entry, result in _results(pipeline):
+        assert calls == [], entry
+        eager = legacy_from_codes(
+            StructureResult, result.dialect, result.table, result.line_codes,
+            result.cell_positions, result.cell_codes, ingest=result.ingest,
+        )
+        lines = result.line_classes
+        assert len(calls) == 1, entry
+        cells = result.cell_classes
+        assert len(calls) == 2, entry
+        assert lines == eager.line_classes, entry
+        assert list(cells.items()) == list(eager.cell_classes.items()), entry
+        assert repr(result) == repr(eager), entry
+        assert result.line_classes is lines and result.cell_classes is cells
+        assert len(calls) == 2, entry
+        keyword = StructureResult(
+            dialect=result.dialect, table=result.table,
+            line_classes=list(lines), cell_classes=dict(cells),
+            ingest=result.ingest,
+        )
+        assert result == eager == keyword == result, entry
+        assert result != _with_first_line_changed(keyword), entry
+        calls.clear()
+
+
+def test_an_engine_sweep_decodes_no_class(pipeline, monkeypatch):
+    """One ``analyze_batch`` through the inline engine, from payloads
+    to ``FileResult``s, builds no ``CellClass``."""
+    calls = _spy_on_decoding(monkeypatch)
+    payloads = [(name, data) for name, data in sorted(EDGE_BYTES.items())]
+    with CorpusEngine(pipeline, n_jobs=1) as engine:
+        outcomes, report = engine.process_payloads(payloads)
+    assert report.batches == 1 and report.completed == len(payloads)
+    assert all(isinstance(outcome, FileResult) for outcome in outcomes)
+    assert calls == []
