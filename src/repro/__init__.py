@@ -25,7 +25,6 @@ from repro.core.strudel import (
     StrudelLineClassifier,
     StrudelPipeline,
     StructureResult,
-    set_default_classifier_factory as _set_default_classifier_factory,
 )
 from repro.datagen.corpora import make_corpus
 from repro.dialect import Dialect, detect_dialect
@@ -39,15 +38,8 @@ from repro.io.ingest import (
     ingest_text,
 )
 from repro.io.reader import read_table, read_table_text
-from repro.ml.forest import RandomForestClassifier as _RandomForestClassifier
 from repro.obs import Tracer, activate, get_metrics, get_tracer
 from repro.types import AnnotatedFile, CellClass, Corpus, DataType, Table
-
-# Composition root: repro.core may not import repro.ml (layer rule
-# R002), so the default Strudel backbone is bound here.  Python
-# initializes this package before any repro.* submodule, so every
-# import path sees the binding.
-_set_default_classifier_factory(_RandomForestClassifier)
 
 __version__ = "1.0.0"
 

@@ -15,7 +15,7 @@ Per-module rules look at one file at a time:
 Whole-program rules (the R100 series) run over a
 :class:`~repro.analysis.graph.ProjectGraph` — per-module symbol
 tables, an import graph and a call graph that resolves methods,
-dict-dispatch and the registered-factory indirection — plus the
+dict-dispatch and values registered through setters — plus the
 interprocedural raise-propagation analysis in
 :mod:`repro.analysis.flow`:
 

@@ -2,8 +2,8 @@
 
 The per-module rules (R001–R006) see one tree at a time; the R100
 series needs to see the *program* — which function calls which, what a
-``self.`` attribute holds, what the composition root registered into a
-module-level factory slot.  :class:`ProjectGraph` builds exactly that
+``self.`` attribute holds, what a setter registered into a
+module-level slot.  :class:`ProjectGraph` builds exactly that
 from the already-parsed :class:`~repro.analysis.runner.ModuleInfo`
 objects, with no imports executed: everything is recovered statically
 from the ASTs, so linting a tree can never run its code (and the
@@ -21,11 +21,9 @@ The model is a deliberately coarse abstract interpretation:
   ``handlers[args.command](args, out)`` dict dispatch;
 * assignments through a ``global`` statement inside a function make
   that function a **registrar**: every call site's argument values
-  flow into the module-level slot, which is how the factory
-  registration in ``repro/__init__.py``
-  (``set_default_classifier_factory(RandomForestClassifier)``) becomes
-  a resolvable call edge from ``StrudelLineClassifier.fit`` to
-  ``RandomForestClassifier.fit``;
+  flow into the module-level slot, so the methods called on the slot's
+  value resolve (``repro.obs.trace.set_tracer`` fills the active
+  tracer's slot this way);
 * the whole build iterates to a fixpoint (bounded passes) so return
   values, instance-attribute types and registry contents can feed each
   other.
@@ -51,9 +49,10 @@ from repro.analysis.runner import ModuleInfo
 Value = tuple[str, str]
 
 #: Upper bound on fixpoint passes.  The deepest real chain in this
-#: repository (registry -> _default_classifier -> _make_model ->
-#: fit-site resolution) converges in four; the bound only guards
-#: against pathological inputs.
+#: repository (the return values of ``DialectDetector._best`` ->
+#: ``detect_parsed`` -> ``detect`` -> ``detect_dialect``) last changes
+#: in pass five, and pass six finds nothing left to change, so the
+#: shipped tree needs all six.
 _MAX_PASSES = 6
 
 

@@ -12,10 +12,8 @@ about the code:
   and the dialect model are mutually recursive by design (see
   ``docs/architecture.md``, "the one deliberate wrinkle").
 * ``repro.cli`` / ``repro.__main__`` / the ``repro`` package root form
-  the ``app`` node: the composition root that is allowed to import
-  everything and wires cross-layer defaults (e.g. registering the
-  random forest as the default Strudel classifier so that ``core``
-  never imports ``ml``).
+  the ``app`` node: the command line and the public re-exports, which
+  are allowed to import everything.
 
 The declaration itself is validated: :func:`check_declared_dag`
 raises if the allowed-dependency relation has a cycle, and a unit
@@ -72,9 +70,13 @@ NODE_BY_PREFIX: dict[str, str] = {
     "repro.core": "core",
     # Compiled forest inference is declared explicitly for the same
     # reason as the profile above: it is ml-internal infrastructure
-    # (ml.forest compiles into it, ml.persistence stores its tensors)
-    # that sits below the estimators, not a new layer.
+    # (ml.forest compiles into it) that sits below the estimators, not
+    # a new layer.
     "repro.ml.compiled": "ml",
+    # Model persistence stores the Strudel classifiers (``core``) as
+    # well as the forest, so unlike the rest of ``repro.ml``, which
+    # ``core`` builds its classifiers on, it sits above ``core``.
+    "repro.ml.persistence": "ml.persistence",
     "repro.ml": "ml",
     "repro.baselines": "baselines",
     "repro.datagen": "datagen",
@@ -109,8 +111,9 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     "io.adapters": frozenset(
         {"dialect", "errors", "io", "obs", "types", "util"}
     ),
+    # Strudel-L and Strudel-C build their random forest directly.
     "core": frozenset(
-        {"dialect", "errors", "io", "obs", "types", "util"}
+        {"dialect", "errors", "io", "ml", "obs", "types", "util"}
     ),
     # The persistent-worker corpus engine: pools and the sweep cache
     # from ``perf``, the pipeline from ``core``, ingestion policy from
@@ -122,10 +125,12 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
         {"core", "dialect", "errors", "io", "io.adapters", "obs",
          "perf", "types", "util"}
     ),
-    "ml": frozenset(
-        {"core", "dialect", "errors", "io", "obs", "perf", "types",
-         "util"}
-    ),
+    # The estimators: the forest fit fans out through ``perf``
+    # (``perf.pool``) and compiled inference emits spans and metrics.
+    "ml": frozenset({"errors", "obs", "perf", "util"}),
+    # The fitted Strudel classifiers and their forests on disk; the
+    # manifest is read through the ``io`` ingest policy.
+    "ml.persistence": frozenset({"core", "errors", "io", "ml"}),
     "baselines": frozenset(
         {"core", "dialect", "errors", "io", "ml", "types", "util"}
     ),
@@ -158,8 +163,9 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     "app": frozenset(
         {
             "analysis", "baselines", "core", "datagen", "dialect",
-            "errors", "eval", "fuzz", "io", "io.adapters", "ml", "obs",
-            "perf", "perf.engine", "serve", "types", "util",
+            "errors", "eval", "fuzz", "io", "io.adapters", "ml",
+            "ml.persistence", "obs", "perf", "perf.engine", "serve",
+            "types", "util",
         }
     ),
 }

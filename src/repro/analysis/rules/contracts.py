@@ -59,7 +59,7 @@ class FeatureContractRule(Rule):
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if module.module not in FEATURE_MODULES:
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
             ):
@@ -167,7 +167,7 @@ class FeatureContractRule(Rule):
                         statement.orelse, guarded
                     )
             # Nested function/class defs are visited by the outer
-            # ast.walk pass in check(); skip them here.
+            # pass over module.nodes in check(); skip them here.
 
     @classmethod
     def _has_unguarded_nan(cls, expression: ast.AST) -> bool:

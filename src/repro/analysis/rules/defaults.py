@@ -47,7 +47,7 @@ class MutableDefaultRule(Rule):
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):

@@ -47,7 +47,7 @@ class NondeterministicIterationRule(Rule):
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             iterables: list[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iterables.append(node.iter)

@@ -1,14 +1,14 @@
 """R002 — layer-boundary imports.
 
 The package layering (``repro.analysis.layering``) is a declared DAG:
-``core`` may never import ``ml``/``eval``/``baselines``, ``ml`` may
-never import ``eval``, and so on.  The rule resolves every ``import``
+``ml`` may never import ``core``/``eval``, ``core`` may never import
+``eval``/``baselines``, and so on.  The rule resolves every ``import``
 / ``from … import`` (module-level *and* function-local — a lazy
 import is still a dependency) to a layering node and checks the edge
 against the declaration.
 
 Relative imports are resolved against the module's own dotted name so
-``from ..ml import forest`` inside ``repro.core`` is caught just like
+``from ..core import strudel`` inside ``repro.ml`` is caught just like
 the absolute spelling.
 """
 
@@ -28,7 +28,7 @@ class LayerBoundaryRule(Rule):
     rule_id = "R002"
     title = "import crosses a declared layer boundary"
     rationale = (
-        "The core -> ml -> eval layering must stay acyclic as the "
+        "The ml -> core -> eval layering must stay acyclic as the "
         "system grows; upward imports make lower layers untestable "
         "in isolation and eventually force real import cycles."
     )
@@ -39,7 +39,7 @@ class LayerBoundaryRule(Rule):
             return
         allowed = ALLOWED_DEPENDENCIES.get(source_node, frozenset())
         is_package = module.path.name == "__init__.py"
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             for target in self._import_targets(
                 node, module.module, is_package
             ):

@@ -54,7 +54,7 @@ class UnseededRandomRule(Rule):
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if module.module in EXEMPT_MODULES:
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)

@@ -106,7 +106,7 @@ class SpanCoverageRule(ProjectRule):
         external_sites = False
         for module_name in sorted(project.modules):
             table = project.modules[module_name]
-            for node in ast.walk(table.info.tree):
+            for node in table.info.nodes:
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)

@@ -42,7 +42,7 @@ class WallClockTimingRule(Rule):
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Call):
                 if call_name(node) == "time.time":
                     yield self.finding(

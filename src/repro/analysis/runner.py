@@ -27,13 +27,22 @@ class ModuleInfo:
     tree: ast.Module
     suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
 
+    _nodes: list[ast.AST] | None = None
     _parents: dict[int, ast.AST] | None = None
+
+    @property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of ``tree`` in ``ast.walk`` order, walked once
+        and shared by every rule that scans the whole module."""
+        if self._nodes is None:
+            self._nodes = list(ast.walk(self.tree))
+        return self._nodes
 
     def parent(self, node: ast.AST) -> ast.AST | None:
         """The syntactic parent of ``node`` (lazily built, cached)."""
         if self._parents is None:
             parents: dict[int, ast.AST] = {}
-            for outer in ast.walk(self.tree):
+            for outer in self.nodes:
                 for child in ast.iter_child_nodes(outer):
                     parents[id(child)] = outer
             self._parents = parents

@@ -36,6 +36,10 @@ def collect_suppressions(source: str) -> dict[int, frozenset[str]]:
     surface the real problem.
     """
     suppressed: dict[int, frozenset[str]] = {}
+    if not _MARKER.search(source):
+        # No comment can hold a marker the whole text lacks: skip
+        # tokenizing, most of a lint run's parse time.
+        return suppressed
     reader = io.StringIO(source).readline
     try:
         tokens = list(tokenize.generate_tokens(reader))

@@ -44,11 +44,7 @@ from repro.core.cell_features import CellFeatureExtractor
 from repro.core.line_features import LineFeatureExtractor
 from repro.core.profile import table_profile
 from repro.dialect.dialect import Dialect
-from repro.errors import (
-    ConfigurationError,
-    InvalidParameterError,
-    NotFittedError,
-)
+from repro.errors import InvalidParameterError, NotFittedError
 from repro.io.cropping import crop_table
 from repro.io.ingest import (
     IngestPolicy,
@@ -56,6 +52,7 @@ from repro.io.ingest import (
     ingest_bytes,
     ingest_text,
 )
+from repro.ml.forest import RandomForestClassifier
 from repro.obs import get_tracer
 from repro.types import (
     CLASS_CODES,
@@ -70,45 +67,6 @@ from repro.types import (
 #: Forest size used by default.  The paper uses scikit-learn defaults
 #: (100 trees); experiments may pass a smaller budget for speed.
 DEFAULT_N_ESTIMATORS = 100
-
-#: Constructor for the default per-classifier model, registered by the
-#: composition root.  ``core`` may not import ``ml`` (layer rule
-#: R002), so the top-level ``repro`` package — which Python always
-#: initializes before any ``repro.*`` submodule — binds the random
-#: forest here at import time via
-#: :func:`set_default_classifier_factory`.
-_default_classifier_factory: Callable[..., Any] | None = None
-
-
-def set_default_classifier_factory(
-    factory: Callable[..., Any]
-) -> None:
-    """Register the estimator constructor used when no explicit
-    ``classifier_factory`` is passed to a Strudel classifier.
-
-    The factory is called as ``factory(n_estimators=…,
-    random_state=…, n_jobs=…)`` and must return an object with
-    ``fit`` / ``predict`` / ``predict_proba`` / ``classes_``.  Called by
-    ``repro/__init__.py`` with the random forest; tests may rebind it
-    to swap the backbone.
-    """
-    global _default_classifier_factory
-    _default_classifier_factory = factory
-
-
-def _default_classifier(
-    n_estimators: int, random_state: int | None, n_jobs: int | None
-) -> Any:
-    if _default_classifier_factory is None:
-        raise ConfigurationError(
-            "no default classifier factory registered; import the "
-            "'repro' package (which binds the random forest) or pass "
-            "classifier_factory= explicitly"
-        )
-    return _default_classifier_factory(
-        n_estimators=n_estimators, random_state=random_state,
-        n_jobs=n_jobs,
-    )
 
 
 def align_class_probabilities(
@@ -234,7 +192,65 @@ class LineInference:
     probabilities: np.ndarray
 
 
-class StrudelLineClassifier:
+class _StrudelForest:
+    """What Strudel-L and Strudel-C share: the forest configuration,
+    the feature-subset selection and the fitted model.
+
+    The model is a :class:`~repro.ml.forest.RandomForestClassifier`
+    with the classifier's ``n_estimators``, ``random_state`` and
+    ``n_jobs`` and every other setting at its default (scikit-learn's,
+    as in the paper), unless a ``classifier_factory`` was passed: then
+    it is ``classifier_factory()``.
+    """
+
+    #: ``line`` or ``cell``: which features an unknown name is among.
+    _granularity = ""
+
+    def __init__(
+        self,
+        n_estimators: int,
+        random_state: int | None,
+        feature_subset: tuple[str, ...] | None,
+        classifier_factory,
+        n_jobs: int | None,
+    ):
+        self.n_estimators = n_estimators
+        self.random_state = random_state
+        self.feature_subset = feature_subset
+        self.n_jobs = n_jobs
+        self._classifier_factory = classifier_factory
+        self._model = None
+        self._columns: np.ndarray | None = None
+
+    def _make_model(self):
+        if self._classifier_factory is not None:
+            return self._classifier_factory()
+        return RandomForestClassifier(
+            n_estimators=self.n_estimators,
+            random_state=self.random_state,
+            n_jobs=self.n_jobs,
+        )
+
+    def _select_columns(self) -> np.ndarray:
+        names = self.extractor.feature_names
+        if self.feature_subset is None:
+            return np.arange(len(names))
+        index = {name: i for i, name in enumerate(names)}
+        missing = [n for n in self.feature_subset if n not in index]
+        if missing:
+            raise InvalidParameterError(
+                f"unknown {self._granularity} features: {missing}"
+            )
+        return np.array([index[n] for n in self.feature_subset])
+
+    def _require_fitted(self) -> None:
+        if self._model is None:
+            raise NotFittedError(
+                f"{type(self).__name__} must be fitted first"
+            )
+
+
+class StrudelLineClassifier(_StrudelForest):
     """Strudel-L: random-forest line classification.
 
     Parameters
@@ -251,6 +267,8 @@ class StrudelLineClassifier:
         independent of the value (deterministic parallelism).
     """
 
+    _granularity = "line"
+
     def __init__(
         self,
         extractor: LineFeatureExtractor | None = None,
@@ -260,32 +278,11 @@ class StrudelLineClassifier:
         classifier_factory=None,
         n_jobs: int | None = 1,
     ):
-        self.extractor = extractor or LineFeatureExtractor()
-        self.n_estimators = n_estimators
-        self.random_state = random_state
-        self.feature_subset = feature_subset
-        self.n_jobs = n_jobs
-        self._classifier_factory = classifier_factory
-        self._model = None
-        self._columns: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    def _make_model(self):
-        if self._classifier_factory is not None:
-            return self._classifier_factory()
-        return _default_classifier(
-            self.n_estimators, self.random_state, self.n_jobs
+        super().__init__(
+            n_estimators, random_state, feature_subset,
+            classifier_factory, n_jobs,
         )
-
-    def _select_columns(self) -> np.ndarray:
-        names = self.extractor.feature_names
-        if self.feature_subset is None:
-            return np.arange(len(names))
-        index = {name: i for i, name in enumerate(names)}
-        missing = [n for n in self.feature_subset if n not in index]
-        if missing:
-            raise InvalidParameterError(f"unknown line features: {missing}")
-        return np.array([index[n] for n in self.feature_subset])
+        self.extractor = extractor or LineFeatureExtractor()
 
     # ------------------------------------------------------------------
     # Feature extraction
@@ -339,10 +336,6 @@ class StrudelLineClassifier:
         y = np.concatenate(labels)
         self._model = self._make_model().fit(X, y)
         return self
-
-    def _require_fitted(self) -> None:
-        if self._model is None:
-            raise NotFittedError("StrudelLineClassifier must be fitted first")
 
     # ------------------------------------------------------------------
     def predict_proba_from_features(
@@ -406,12 +399,14 @@ class StrudelLineClassifier:
         return _classes_of(self.predict_codes(table, inference))
 
 
-class StrudelCellClassifier:
+class StrudelCellClassifier(_StrudelForest):
     """Strudel-C: random-forest cell classification on Table 2 features.
 
     Owns (or shares) a :class:`StrudelLineClassifier`, which is fitted
     first so its probability vectors become cell features.
     """
+
+    _granularity = "cell"
 
     def __init__(
         self,
@@ -423,37 +418,16 @@ class StrudelCellClassifier:
         classifier_factory=None,
         n_jobs: int | None = 1,
     ):
+        super().__init__(
+            n_estimators, random_state, feature_subset,
+            classifier_factory, n_jobs,
+        )
         self.line_classifier = line_classifier or StrudelLineClassifier(
             n_estimators=n_estimators, random_state=random_state,
             n_jobs=n_jobs,
         )
         self.extractor = extractor or CellFeatureExtractor()
-        self.n_estimators = n_estimators
-        self.random_state = random_state
-        self.feature_subset = feature_subset
-        self.n_jobs = n_jobs
-        self._classifier_factory = classifier_factory
-        self._model = None
-        self._columns: np.ndarray | None = None
         self._line_fitted_here = False
-
-    # ------------------------------------------------------------------
-    def _make_model(self):
-        if self._classifier_factory is not None:
-            return self._classifier_factory()
-        return _default_classifier(
-            self.n_estimators, self.random_state, self.n_jobs
-        )
-
-    def _select_columns(self) -> np.ndarray:
-        names = self.extractor.feature_names
-        if self.feature_subset is None:
-            return np.arange(len(names))
-        index = {name: i for i, name in enumerate(names)}
-        missing = [n for n in self.feature_subset if n not in index]
-        if missing:
-            raise InvalidParameterError(f"unknown cell features: {missing}")
-        return np.array([index[n] for n in self.feature_subset])
 
     # ------------------------------------------------------------------
     def extract_cells(
@@ -521,10 +495,6 @@ class StrudelCellClassifier:
         y = np.concatenate(labels)
         self._model = self._make_model().fit(X, y)
         return self
-
-    def _require_fitted(self) -> None:
-        if self._model is None:
-            raise NotFittedError("StrudelCellClassifier must be fitted first")
 
     # ------------------------------------------------------------------
     def codes_from_features(self, features: np.ndarray) -> np.ndarray:

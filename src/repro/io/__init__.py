@@ -22,9 +22,9 @@ from repro.io.ingest import (
     ingest_path,
     ingest_text,
 )
-from repro.io.parser import parse_csv_text, split_record
 from repro.io.reader import read_table, read_table_text
 from repro.io.writer import write_csv_text, write_table
+from repro.parsing import parse_csv_text, split_record
 
 __all__ = [
     "IngestPolicy",

@@ -170,6 +170,20 @@ class CompiledForest:
         self._tree_class_offsets = np.ascontiguousarray(
             tree_class_offsets, dtype=np.int64
         )
+        #: The arrays that define the forest, by constructor keyword:
+        #: ``ml.persistence`` stores them under these names, and the
+        #: corpus engine's model fingerprint hashes them in this order.
+        self.tensors: dict[str, np.ndarray] = {
+            "classes": self.classes_,
+            "tree_classes": self._tree_classes,
+            "feature": self._feature,
+            "threshold": self._threshold,
+            "left": self._left,
+            "right": self._right,
+            "proba": self._proba,
+            "roots": self._roots,
+            "tree_class_offsets": self._tree_class_offsets,
+        }
         # Derived traversal arrays (rebuilt on load, never stored):
         # leaves self-loop so finished (sample, tree) pairs ride out
         # the remaining iterations untouched, and their feature index

@@ -56,23 +56,22 @@ def _fit_tree_batch(
     y: np.ndarray,
     tree_params: dict,
     bootstrap: bool,
-    batch: list[tuple[int, np.random.Generator]],
-) -> list[tuple[int, DecisionTreeClassifier, np.ndarray]]:
-    """Fit one batch of ``(index, stream)`` trees.
+    streams: list[np.random.Generator],
+) -> list[DecisionTreeClassifier]:
+    """Fit one tree per stream of a batch, in order.
 
     Module-level so a process pool can ship it; each stream is an
     independent child generator, so batching is purely a transport
     optimization (fewer pickles of ``X``/``y``) with no effect on the
     fitted trees.
     """
-    fitted: list[tuple[int, DecisionTreeClassifier, np.ndarray]] = []
-    for index, stream in batch:
+    fitted: list[DecisionTreeClassifier] = []
+    for stream in streams:
         weights = _bootstrap_weights(stream, X.shape[0], bootstrap)
         tree = DecisionTreeClassifier(
             random_state=stream, **tree_params
         )
-        tree.fit(X, y, sample_weight=weights)
-        fitted.append((index, tree, weights))
+        fitted.append(tree.fit(X, y, sample_weight=weights))
     return fitted
 
 
@@ -105,48 +104,39 @@ class RandomForestClassifier:
         min_samples_leaf: int = 1,
         max_features: int | str | None = "sqrt",
         bootstrap: bool = True,
-        oob_score: bool = False,
         random_state: int | np.random.Generator | None = None,
         n_jobs: int | None = 1,
     ):
         if n_estimators < 1:
             raise InvalidParameterError("n_estimators must be >= 1")
-        if oob_score and not bootstrap:
-            raise InvalidParameterError(
-                "oob_score requires bootstrap sampling"
-            )
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.oob_score = oob_score
         self.random_state = random_state
         self.n_jobs = n_jobs
 
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
         self.estimators_: list[DecisionTreeClassifier] | None = None
-        self.oob_score_: float | None = None
-        self.oob_decision_function_: np.ndarray | None = None
         # Derived, memoized per fit: the packed inference tensors.
         self._compiled: CompiledForest | None = None
 
     # ------------------------------------------------------------------
     def _fit_all_trees(
         self, X: np.ndarray, y: np.ndarray
-    ) -> list[tuple[int, DecisionTreeClassifier, np.ndarray]]:
-        """All ``(index, tree, weights)`` triples, in tree-index order.
+    ) -> list[DecisionTreeClassifier]:
+        """All trees, in tree-index order.
 
         The per-tree streams are derived identically whatever the
-        worker count; parallel batches are re-sorted on index so every
-        downstream fold (OOB votes, importances) sees the sequential
-        order.
+        worker count, and the parallel batches are contiguous runs of
+        them, so concatenating the batches in order gives the
+        sequential order (importances fold over it).
         """
         rng = as_generator(self.random_state)
         streams = spawn(rng, self.n_estimators)
-        indexed = list(enumerate(streams))
         tree_params = {
             "max_depth": self.max_depth,
             "min_samples_split": self.min_samples_split,
@@ -156,12 +146,12 @@ class RandomForestClassifier:
         jobs = effective_jobs(self.n_jobs, self.n_estimators)
         if jobs <= 1:
             return _fit_tree_batch(
-                X, y, tree_params, self.bootstrap, indexed
+                X, y, tree_params, self.bootstrap, streams
             )
         # Contiguous batches, one per worker, amortize shipping X/y.
-        bounds = np.linspace(0, len(indexed), jobs + 1).astype(int)
+        bounds = np.linspace(0, len(streams), jobs + 1).astype(int)
         batches = [
-            indexed[bounds[k]:bounds[k + 1]]
+            streams[bounds[k]:bounds[k + 1]]
             for k in range(jobs)
             if bounds[k] < bounds[k + 1]
         ]
@@ -169,49 +159,15 @@ class RandomForestClassifier:
             _fit_tree_batch, X, y, tree_params, self.bootstrap
         )
         results = parallel_map(worker, batches, n_jobs=jobs)
-        flat = [triple for batch in results for triple in batch]
-        flat.sort(key=lambda triple: triple[0])
-        return flat
+        return [tree for batch in results for tree in batch]
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         """Fit ``n_estimators`` trees on bootstrap resamples of ``(X, y)``."""
         X, y = check_X_y(X, y)
         self.classes_ = np.unique(y)
         self.n_features_ = X.shape[1]
-
-        n = X.shape[0]
-        n_classes = len(self.classes_)
-        fitted = self._fit_all_trees(X, y)
-        self.estimators_ = [tree for _, tree, _ in fitted]
+        self.estimators_ = self._fit_all_trees(X, y)
         self._compiled = None
-        if self.oob_score:
-            class_index = {c: i for i, c in enumerate(self.classes_)}
-            oob_votes = np.zeros((n, n_classes))
-            for _, tree, weights in fitted:
-                held_out = weights == 0
-                if held_out.any():
-                    proba = tree.predict_proba(X[held_out])
-                    columns = np.array(
-                        [class_index[c] for c in tree.classes_],
-                        dtype=np.intp,
-                    )
-                    oob_votes[np.ix_(held_out, columns)] += proba
-            voted = oob_votes.sum(axis=1) > 0
-            decision = np.full((n, n_classes), np.nan)
-            decision[voted] = (
-                oob_votes[voted] / oob_votes[voted].sum(axis=1,
-                                                        keepdims=True)
-            )
-            self.oob_decision_function_ = decision
-            if voted.any():
-                predictions = self.classes_[
-                    np.argmax(oob_votes[voted], axis=1)
-                ]
-                self.oob_score_ = float(
-                    (predictions == y[voted]).mean()
-                )
-            else:  # pragma: no cover - needs degenerate bootstrap
-                self.oob_score_ = 0.0
         return self
 
     # ------------------------------------------------------------------

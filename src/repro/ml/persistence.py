@@ -64,19 +64,9 @@ def save_forest(forest: RandomForestClassifier, directory: str | Path) -> None:
         raise NotFittedError("cannot save an unfitted forest")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    compiled = forest.compile()
-    arrays: dict = {
-        "classes": compiled.classes_,
-        "feature": compiled._feature,
-        "threshold": compiled._threshold,
-        "left": compiled._left,
-        "right": compiled._right,
-        "proba": compiled._proba,
-        "roots": compiled._roots,
-        "tree_classes": compiled._tree_classes,
-        "tree_class_offsets": compiled._tree_class_offsets,
-    }
-    np.savez_compressed(directory / "arrays.npz", **arrays)
+    np.savez_compressed(
+        directory / "arrays.npz", **forest.compile().tensors
+    )
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": "random_forest",
@@ -141,26 +131,19 @@ def load_forest(directory: str | Path) -> RandomForestClassifier:
         max_features=max_features,
         bootstrap=params["bootstrap"],
     )
-    forest.classes_ = arrays["classes"]
-    forest.n_features_ = manifest["n_features"]
     try:
         compiled = CompiledForest(
-            feature=arrays["feature"],
-            threshold=arrays["threshold"],
-            left=arrays["left"],
-            right=arrays["right"],
-            proba=arrays["proba"],
-            roots=arrays["roots"],
-            classes=arrays["classes"],
-            n_features=manifest["n_features"],
-            tree_classes=arrays["tree_classes"],
-            tree_class_offsets=arrays["tree_class_offsets"],
+            n_features=manifest["n_features"], **arrays
         )
-    except KeyError as exc:
+    except TypeError as exc:
+        # A missing, extra or misnamed array: the bundle's arrays are
+        # not the ones ``CompiledForest.tensors`` names.
         raise PersistenceError(
-            f"version-2 bundle in {directory} is missing the "
-            f"compiled array {exc}"
+            f"version-2 bundle in {directory} does not hold the "
+            f"compiled arrays: {exc}"
         ) from exc
+    forest.classes_ = compiled.classes_
+    forest.n_features_ = manifest["n_features"]
     if compiled.n_trees != manifest["n_estimators"]:
         raise PersistenceError(
             f"manifest declares {manifest['n_estimators']} trees "

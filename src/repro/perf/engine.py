@@ -127,9 +127,10 @@ def file_content_hash(data: bytes) -> str:
 def model_fingerprint(pipeline) -> str:
     """SHA-256 digest of everything that determines a sweep's output.
 
-    Hashes the compiled forest tensors of both classifiers (the same
-    arrays ``ml.persistence`` stores — two models produce the same
-    fingerprint iff they predict identically), the extractor
+    Hashes the compiled forest tensors of both classifiers
+    (``CompiledForest.tensors``, the arrays ``ml.persistence`` stores —
+    two models produce the same fingerprint iff they predict
+    identically), the extractor
     configuration keys and the crop flag.  Cached sweep results are
     addressed by this fingerprint, so refitting the model can never
     serve stale results.
@@ -144,13 +145,7 @@ def model_fingerprint(pipeline) -> str:
             )
         digest.update(clf.extractor.cache_key.encode("utf-8"))
         digest.update(b";")
-        compiled = clf._model.compile()
-        for tensor in (
-            compiled.classes_, compiled._tree_classes,
-            compiled._feature, compiled._threshold, compiled._left,
-            compiled._right, compiled._proba, compiled._roots,
-            compiled._tree_class_offsets,
-        ):
+        for tensor in clf._model.compile().tensors.values():
             array = np.ascontiguousarray(tensor)
             digest.update(str(array.dtype).encode("ascii"))
             digest.update(str(array.shape).encode("ascii"))

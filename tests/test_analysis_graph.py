@@ -154,17 +154,19 @@ class TestRealTree:
         return ProjectGraph.build(modules)
 
     def test_factory_chain_pins_forest_fit(self, graph):
-        # The load-bearing indirection: repro/__init__.py registers the
-        # random forest as the default Strudel classifier factory, so
-        # StrudelLineClassifier.fit must resolve a call edge into
-        # RandomForestClassifier.fit without core importing ml.
-        registered = graph.registries[
-            "repro.core.strudel._default_classifier_factory"
-        ]
-        assert ("class", "repro.ml.forest.RandomForestClassifier") in registered
-        assert "repro.ml.forest.RandomForestClassifier.fit" in callees(
-            graph, "repro.core.strudel.StrudelLineClassifier.fit"
+        # Strudel-L and Strudel-C build their forest in the shared
+        # base's _make_model, so each fit must resolve a call edge into
+        # RandomForestClassifier.fit with no registry slot in between.
+        assert not any(
+            slot.startswith("repro.core.") for slot in graph.registries
         )
+        for fit in (
+            "repro.core.strudel.StrudelLineClassifier.fit",
+            "repro.core.strudel.StrudelCellClassifier.fit",
+        ):
+            assert "repro.ml.forest.RandomForestClassifier.fit" in callees(
+                graph, fit
+            )
 
     def test_public_entry_points_exist(self, graph):
         missing = [

@@ -123,6 +123,15 @@ class TestLayeringDeclaration:
         order = check_declared_dag()
         assert set(order) == set(ALLOWED_DEPENDENCIES)
 
+    def test_ml_sits_below_core_and_persistence_above_both(self):
+        # The documented layers: the estimators at the bottom, the
+        # Strudel classifiers on them, model persistence over both.
+        assert ALLOWED_DEPENDENCIES["ml"] == {"errors", "obs", "perf", "util"}
+        order = check_declared_dag()
+        assert order.index("ml") < order.index("core")
+        assert order.index("ml.persistence") > order.index("core")
+        assert order.index("ml.persistence") > order.index("ml")
+
     def test_cycle_is_rejected(self):
         with pytest.raises(ConfigurationError):
             check_declared_dag(
@@ -131,6 +140,8 @@ class TestLayeringDeclaration:
 
     def test_longest_prefix_lookup(self):
         assert node_for_module("repro.core.strudel") == "core"
+        assert node_for_module("repro.ml.forest") == "ml"
+        assert node_for_module("repro.ml.persistence") == "ml.persistence"
         assert node_for_module("repro.parsing") == "dialect"
         assert node_for_module("repro") == "app"
         assert node_for_module("numpy.random") is None
@@ -191,12 +202,19 @@ class TestUnseededRandom:
 # R002 — layer boundaries
 # ----------------------------------------------------------------------
 class TestLayerBoundaries:
-    def test_core_importing_ml_flagged(self):
+    def test_ml_importing_core_flagged(self):
+        findings = lint(
+            "from repro.core.strudel import StrudelLineClassifier\n",
+            module="repro.ml.forest",
+        )
+        assert rule_ids(findings) == ["R002"]
+
+    def test_core_building_the_forest_allowed(self):
         findings = lint(
             "from repro.ml.forest import RandomForestClassifier\n",
             module="repro.core.strudel",
         )
-        assert rule_ids(findings) == ["R002"]
+        assert findings == []
 
     def test_ml_importing_eval_flagged(self):
         findings = lint(
@@ -217,7 +235,7 @@ class TestLayerBoundaries:
 
     def test_relative_upward_import_flagged(self):
         findings = lint(
-            "from ..ml import forest\n", module="repro.core.strudel"
+            "from ..core import strudel\n", module="repro.ml.forest"
         )
         assert rule_ids(findings) == ["R002"]
 

@@ -13,6 +13,7 @@ from repro.core.strudel import (
 )
 from repro.errors import InvalidParameterError, NotFittedError
 from repro.io.writer import write_csv_text
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.types import CellClass, Table
 
@@ -122,6 +123,49 @@ class TestStrudelCell:
     def test_predict_before_fit_raises(self, verbose_table):
         with pytest.raises(NotFittedError):
             StrudelCellClassifier().predict(verbose_table)
+
+
+class TestForestBackbone:
+    """Without a ``classifier_factory`` each classifier builds its own
+    random forest from its configuration; both share one base."""
+
+    def test_default_backbone_carries_the_configuration(
+        self, train_test_files_module
+    ):
+        train, _ = train_test_files_module
+        line = StrudelLineClassifier(
+            n_estimators=4, random_state=7, n_jobs=1
+        )
+        cell = StrudelCellClassifier(
+            line_classifier=line, n_estimators=3, random_state=5, n_jobs=2
+        ).fit(train)
+        for model, trees, seed, jobs in ((line, 4, 7, 1), (cell, 3, 5, 2)):
+            assert type(model._model) is RandomForestClassifier
+            assert len(model._model.estimators_) == trees
+            assert (
+                model._model.n_estimators,
+                model._model.random_state,
+                model._model.n_jobs,
+            ) == (trees, seed, jobs)
+
+    @pytest.mark.parametrize(
+        "cls, granularity",
+        [(StrudelLineClassifier, "line"), (StrudelCellClassifier, "cell")],
+    )
+    def test_shared_base_messages(
+        self, cls, granularity, train_test_files_module, verbose_table
+    ):
+        train, _ = train_test_files_module
+        with pytest.raises(
+            NotFittedError, match=f"^{cls.__name__} must be fitted first$"
+        ):
+            cls().predict(verbose_table)
+        model = cls(n_estimators=2, feature_subset=("nope", "nada"))
+        with pytest.raises(InvalidParameterError) as raised:
+            model.fit(train)
+        assert str(raised.value) == (
+            f"unknown {granularity} features: ['nope', 'nada']"
+        )
 
 
 class TestLineToCellBaseline:

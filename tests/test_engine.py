@@ -11,6 +11,7 @@ aborts a sweep.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import struct
@@ -143,6 +144,40 @@ def test_model_fingerprint_stable_and_model_sensitive(
     other = StrudelPipeline(n_estimators=4, random_state=1)
     other.fit(tiny_corpus.files)
     assert model_fingerprint(other) != model_fingerprint(fitted_pipeline)
+
+
+def _listed_tensor_fingerprint(pipeline) -> str:
+    """Oracle: the model fingerprint with each of the nine compiled
+    arrays named, in the order existing sweep-cache keys hash them."""
+    digest = hashlib.sha256()
+    digest.update(f"crop={int(pipeline.crop)};".encode("ascii"))
+    for clf in (pipeline.line_classifier, pipeline.cell_classifier):
+        digest.update(clf.extractor.cache_key.encode("utf-8"))
+        digest.update(b";")
+        compiled = clf._model.compile()
+        for tensor in (
+            compiled.classes_, compiled._tree_classes,
+            compiled._feature, compiled._threshold, compiled._left,
+            compiled._right, compiled._proba, compiled._roots,
+            compiled._tree_class_offsets,
+        ):
+            array = np.ascontiguousarray(tensor)
+            digest.update(str(array.dtype).encode("ascii"))
+            digest.update(str(array.shape).encode("ascii"))
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def test_model_fingerprint_matches_the_listed_tensors(
+    tiny_corpus, fitted_pipeline
+):
+    # Equal digests keep existing sweep-cache entries addressable.
+    one_tree = StrudelPipeline(n_estimators=1, random_state=0)
+    one_tree.fit(tiny_corpus.files)
+    for pipeline in (fitted_pipeline, one_tree):
+        assert model_fingerprint(pipeline) == (
+            _listed_tensor_fingerprint(pipeline)
+        )
 
 
 def test_model_fingerprint_requires_a_fitted_pipeline():

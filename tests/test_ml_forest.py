@@ -120,34 +120,3 @@ class TestFeatureImportances:
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             RandomForestClassifier().feature_importances_
-
-
-class TestOutOfBag:
-    def test_oob_score_tracks_generalization(self):
-        X, y = _data(n=400)
-        forest = RandomForestClassifier(
-            n_estimators=25, oob_score=True, random_state=0
-        ).fit(X, y)
-        assert forest.oob_score_ is not None
-        assert 0.8 < forest.oob_score_ <= 1.0
-
-    def test_oob_decision_function_shape(self):
-        X, y = _data(n=100)
-        forest = RandomForestClassifier(
-            n_estimators=10, oob_score=True, random_state=0
-        ).fit(X, y)
-        decision = forest.oob_decision_function_
-        assert decision.shape == (100, len(forest.classes_))
-        voted = ~np.isnan(decision[:, 0])
-        assert np.allclose(decision[voted].sum(axis=1), 1.0)
-
-    def test_oob_disabled_by_default(self):
-        X, y = _data(n=50)
-        forest = RandomForestClassifier(
-            n_estimators=3, random_state=0
-        ).fit(X, y)
-        assert forest.oob_score_ is None
-
-    def test_oob_requires_bootstrap(self):
-        with pytest.raises(InvalidParameterError):
-            RandomForestClassifier(bootstrap=False, oob_score=True)

@@ -77,6 +77,36 @@ class TestForestPersistence:
             per_tree_predict_proba(forest, X).tobytes()
         )
 
+    def test_bundle_with_listed_arrays_loads_byte_identical(
+        self, tmp_path, training_data
+    ):
+        # A bundle whose writer names each of the nine arrays, as
+        # existing version-2 bundles were written, loads to the same
+        # predictions.
+        X, y = training_data
+        forest = RandomForestClassifier(
+            n_estimators=7, random_state=0
+        ).fit(X, y)
+        save_forest(forest, tmp_path / "model")
+        compiled = forest.compile()
+        np.savez_compressed(
+            tmp_path / "model" / "arrays.npz",
+            classes=compiled.classes_,
+            feature=compiled._feature,
+            threshold=compiled._threshold,
+            left=compiled._left,
+            right=compiled._right,
+            proba=compiled._proba,
+            roots=compiled._roots,
+            tree_classes=compiled._tree_classes,
+            tree_class_offsets=compiled._tree_class_offsets,
+        )
+        restored = load_forest(tmp_path / "model")
+        assert restored.predict_proba(X).tobytes() == (
+            forest.predict_proba(X).tobytes()
+        )
+        assert restored.compile().tensors.keys() == compiled.tensors.keys()
+
     def test_version_2_missing_array_rejected(
         self, tmp_path, training_data
     ):

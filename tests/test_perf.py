@@ -119,10 +119,10 @@ def _toy_classification(seed: int = 7, n: int = 120, d: int = 6):
 def test_forest_parallel_fit_is_byte_identical():
     X, y = _toy_classification()
     sequential = RandomForestClassifier(
-        n_estimators=12, random_state=3, oob_score=True, n_jobs=1
+        n_estimators=12, random_state=3, n_jobs=1
     ).fit(X, y)
     parallel = RandomForestClassifier(
-        n_estimators=12, random_state=3, oob_score=True, n_jobs=3
+        n_estimators=12, random_state=3, n_jobs=3
     ).fit(X, y)
 
     np.testing.assert_array_equal(
@@ -131,11 +131,6 @@ def test_forest_parallel_fit_is_byte_identical():
     np.testing.assert_array_equal(
         sequential.feature_importances_, parallel.feature_importances_
     )
-    np.testing.assert_array_equal(
-        sequential.oob_decision_function_,
-        parallel.oob_decision_function_,
-    )
-    assert sequential.oob_score_ == parallel.oob_score_
 
 
 def test_pipeline_jobs_and_cache_are_byte_identical(tiny_corpus):
