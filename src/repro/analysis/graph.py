@@ -26,7 +26,7 @@ The model is a deliberately coarse abstract interpretation:
   tracer's slot this way);
 * the whole build iterates to a fixpoint (bounded passes) so return
   values, instance-attribute types and registry contents can feed each
-  other.
+  other; ``converged`` records whether it got there within the bound.
 
 Everything downstream — the raise-propagation analysis in
 :mod:`repro.analysis.flow`, the R101 ingest gate, the R104 metric-name
@@ -52,7 +52,8 @@ Value = tuple[str, str]
 #: repository (the return values of ``DialectDetector._best`` ->
 #: ``detect_parsed`` -> ``detect`` -> ``detect_dialect``) last changes
 #: in pass five, and pass six finds nothing left to change, so the
-#: shipped tree needs all six.
+#: shipped tree needs all six.  A build the bound cuts short says so
+#: (``ProjectGraph.converged``) and ``repro lint`` refuses it.
 _MAX_PASSES = 6
 
 
@@ -164,6 +165,10 @@ class ProjectGraph:
         #: registrar functions (monotone across passes).
         self.registries: dict[str, set[Value]] = {}
         self.return_values: dict[str, frozenset[Value]] = {}
+        #: Whether the last fixpoint pass changed nothing.  ``False``
+        #: means the pass bound cut the build short: return values
+        #: (and the calls resolved through them) are unfinished.
+        self.converged = False
         self._calls: dict[str, list[CallSite]] = {}
         self._instantiations: dict[str, list[Instantiation]] = {}
         self._envs: dict[str, dict[str, frozenset[Value]]] = {}
@@ -293,7 +298,10 @@ class ProjectGraph:
                 break
 
     def _run_fixpoint(self) -> None:
-        previous: dict[str, frozenset[Value]] = {}
+        # A pass reads the previous pass's return values and the
+        # registries, so once a pass leaves both unchanged the next
+        # would repeat it exactly: that is the fixpoint.
+        previous = None
         for _ in range(_MAX_PASSES):
             self._calls = {}
             self._instantiations = {}
@@ -312,9 +320,14 @@ class ProjectGraph:
                     for name, vals in evaluator.env.items()
                 }
             self.return_values = returns
-            if returns == previous:
-                break
-            previous = returns
+            state = (returns, {
+                slot: frozenset(values)
+                for slot, values in self.registries.items()
+            })
+            if state == previous:
+                self.converged = True
+                return
+            previous = state
 
     # ------------------------------------------------------------------
     # Name resolution

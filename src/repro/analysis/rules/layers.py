@@ -9,7 +9,9 @@ against the declaration.
 
 Relative imports are resolved against the module's own dotted name so
 ``from ..core import strudel`` inside ``repro.ml`` is caught just like
-the absolute spelling.
+the absolute spelling.  ``from pkg import name`` is checked as ``pkg``
+and as ``pkg.name``, so a submodule imported by name from its package
+(``from repro.ml import persistence``) meets its own node's boundary.
 """
 
 from __future__ import annotations
@@ -40,41 +42,57 @@ class LayerBoundaryRule(Rule):
         allowed = ALLOWED_DEPENDENCIES.get(source_node, frozenset())
         is_package = module.path.name == "__init__.py"
         for node in module.nodes:
+            # One finding per statement and disallowed layer, naming
+            # the first target that reached it.
+            reported: set[str] = set()
             for target in self._import_targets(
                 node, module.module, is_package
             ):
                 target_node = node_for_module(target)
                 if target_node is None or target_node == source_node:
                     continue
-                if target_node not in allowed:
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        node.col_offset,
-                        f"layer {source_node!r} may not import "
-                        f"{target!r} (layer {target_node!r}); allowed: "
-                        f"{sorted(allowed) or 'nothing'}",
-                    )
+                if target_node in allowed or target_node in reported:
+                    continue
+                reported.add(target_node)
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    node.col_offset,
+                    f"layer {source_node!r} may not import "
+                    f"{target!r} (layer {target_node!r}); allowed: "
+                    f"{sorted(allowed) or 'nothing'}",
+                )
 
     # ------------------------------------------------------------------
     @staticmethod
     def _import_targets(
         node: ast.AST, module: str, is_package: bool
     ) -> list[str]:
+        """Dotted names a statement imports: each ``import`` name, and
+        for ``from pkg import a, b`` the package and ``pkg.a``,
+        ``pkg.b`` (a name may be a submodule in another layer)."""
         if isinstance(node, ast.Import):
             return [alias.name for alias in node.names]
-        if isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                return [node.module] if node.module else []
+        if not isinstance(node, ast.ImportFrom):
+            return []
+        if node.level == 0:
+            package = node.module or ""
+        else:
             # Resolve `from ..pkg import x` against our own name;
             # level 1 is the containing package, which for an
             # __init__ module is the module itself.
             parts = module.split(".")
             if is_package:
                 parts = parts + ["__init__"]
-            base = parts[: max(len(parts) - node.level, 0)]
-            prefix = ".".join(base)
+            package = ".".join(parts[: max(len(parts) - node.level, 0)])
             if node.module:
-                prefix = f"{prefix}.{node.module}" if prefix else node.module
-            return [prefix] if prefix else []
-        return []
+                package = (
+                    f"{package}.{node.module}" if package else node.module
+                )
+        if not package:
+            return []
+        return [package] + [
+            f"{package}.{alias.name}"
+            for alias in node.names
+            if alias.name != "*"
+        ]

@@ -15,6 +15,7 @@ from repro.analysis.registry import (
     get_rule,
 )
 from repro.analysis.suppressions import collect_suppressions, is_suppressed
+from repro.errors import AnalysisError
 
 
 @dataclass
@@ -117,7 +118,10 @@ def lint_modules(
     (:class:`~repro.analysis.registry.ProjectRule`) rules see a
     :class:`~repro.analysis.graph.ProjectGraph` built once from every
     module in scope.  ``graph=False`` skips the project rules (and the
-    graph build) entirely — the CLI's ``--no-graph``.
+    graph build) entirely — the CLI's ``--no-graph``.  A graph that
+    does not converge within its pass bound raises
+    :class:`~repro.errors.AnalysisError` rather than feed the project
+    rules an unfinished model.
     """
     module_list = list(modules)
     rules = _resolve_rules(select)
@@ -138,6 +142,13 @@ def lint_modules(
         from repro.analysis.graph import ProjectGraph
 
         project = ProjectGraph.build(module_list)
+        if not project.converged:
+            raise AnalysisError(
+                "the whole-program call graph did not converge within "
+                "its pass bound; the project rules "
+                f"({', '.join(r.rule_id for r in project_rules)}) "
+                "would read an unfinished graph"
+            )
         suppressions_by_path = {
             str(module.path): module.suppressions
             for module in module_list

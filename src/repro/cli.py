@@ -53,7 +53,12 @@ from pathlib import Path
 
 import repro
 from repro.analysis import lint_paths, render_json, render_text
-from repro.errors import ConfigurationError, IngestError, ServeError
+from repro.errors import (
+    AnalysisError,
+    ConfigurationError,
+    IngestError,
+    ServeError,
+)
 from repro.core.strudel import StrudelPipeline
 from repro.datagen.corpora import CORPUS_BUILDERS, make_corpus
 from repro.fuzz import FuzzConfig, format_fuzz_report, run_fuzz
@@ -543,7 +548,7 @@ def _cmd_lint(args: argparse.Namespace, out) -> int:
     )
     try:
         findings = lint_paths(paths, select=select, graph=not args.no_graph)
-    except ConfigurationError as error:
+    except (AnalysisError, ConfigurationError) as error:
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
     if args.format == "json":

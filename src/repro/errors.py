@@ -100,6 +100,10 @@ class EvaluationError(ReproError):
 
 class ConfigurationError(ReproError):
     """Raised when the library itself is mis-assembled: an invalid
-    static-analysis rule declaration, a cyclic layer graph, or a
-    missing composition-root registration (e.g. no default classifier
-    factory bound before a Strudel estimator needed one)."""
+    static-analysis rule declaration or a cyclic layer graph."""
+
+
+class AnalysisError(ReproError):
+    """Raised when the static analysis cannot finish soundly: the
+    whole-program model did not reach its fixpoint within the pass
+    bound, so the project rules would read an unfinished call graph."""

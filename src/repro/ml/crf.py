@@ -21,7 +21,6 @@ Python loop per line.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from repro.errors import InvalidParameterError, NotFittedError
@@ -133,6 +132,11 @@ class LinearChainCRF:
                 [gW.ravel(), gb, gstart, gtrans.ravel()]
             ) + self.l2 * theta
             return nll, grad
+
+        # Imported here, not at module level: only training needs the
+        # optimizer, and ``scipy.optimize`` is the costliest import of
+        # every ``repro`` process (``repro.ml`` imports this module).
+        from scipy.optimize import minimize
 
         theta0 = np.zeros(k * d + k + k + k * k)
         result = minimize(

@@ -3,9 +3,13 @@
 This is the building block of the random forest backbone.  The
 implementation favours numpy vectorization in the two hot paths:
 
-* split finding — candidate thresholds for one feature are evaluated
-  in a single vectorized pass over sorted values using cumulative
-  class counts;
+* split finding — one pass per node covers all its candidate
+  features: one stable sort of the node's candidate columns, the
+  valid boundaries (distinct neighbours, ``min_samples_leaf``) taken
+  from the sorted values, and the Gini impurity scored from
+  cumulative class weights at those boundaries only, with the same
+  arithmetic and the same choice of split as a scan of one feature at
+  a time;
 * prediction — the tree is stored in flat arrays and a whole batch of
   samples descends level-by-level with boolean masks instead of a
   Python loop per sample.
@@ -20,6 +24,12 @@ from repro.ml.base import check_fitted, check_X, check_X_y
 from repro.util.rng import as_generator
 
 _NO_FEATURE = -1
+
+#: Most float64 values in one split search's cumulative class-weight
+#: block (samples x candidate features x classes).  A node whose block
+#: would be larger scores its candidates in column groups that fit, so
+#: a fit's temporaries stay bounded whatever the node size.
+_BLOCK_VALUES = 1 << 18
 
 
 class DecisionTreeClassifier:
@@ -108,24 +118,6 @@ class DecisionTreeClassifier:
         active = sample_weight > 0
         indices = np.nonzero(active)[0]
 
-        def node_proba(idx: np.ndarray) -> np.ndarray:
-            counts = np.bincount(
-                encoded[idx], weights=sample_weight[idx], minlength=n_classes
-            )
-            total = counts.sum()
-            return counts / total if total > 0 else np.full(
-                n_classes, 1.0 / n_classes
-            )
-
-        def add_leaf(idx: np.ndarray) -> int:
-            node = len(features)
-            features.append(_NO_FEATURE)
-            thresholds.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            probas.append(node_proba(idx))
-            return node
-
         # Iterative depth-first construction with an explicit stack, so
         # deep trees never hit the Python recursion limit.  Each stack
         # entry carries the slot (parent node, side) to patch with the
@@ -150,16 +142,20 @@ class DecisionTreeClassifier:
                     n_candidates, rng,
                 )
 
+            node = len(features)
+            lefts.append(-1)
+            rights.append(-1)
+            total = counts.sum()
+            probas.append(counts / total if total > 0 else np.full(
+                n_classes, 1.0 / n_classes
+            ))
             if split is None:
-                node = add_leaf(idx)
+                features.append(_NO_FEATURE)
+                thresholds.append(0.0)
             else:
                 feature, threshold, left_mask = split
-                node = len(features)
                 features.append(feature)
                 thresholds.append(threshold)
-                lefts.append(-1)
-                rights.append(-1)
-                probas.append(node_proba(idx))
                 # Push right first so the left subtree is built first,
                 # preserving the depth-first order of the recursion.
                 stack.append((idx[~left_mask], depth + 1, node, 1))
@@ -202,8 +198,13 @@ class DecisionTreeClassifier:
     ) -> tuple[int, float, np.ndarray] | None:
         """Best ``(feature, threshold, left_mask)`` or ``None``.
 
-        Evaluates the weighted Gini impurity of every distinct-value
-        boundary for each candidate feature in one vectorized pass.
+        Searches all candidate features at once: one stable sort of
+        the node's ``(k, n)`` block of candidate values, the valid
+        boundaries found from the sorted values alone, and the
+        weighted Gini impurity scored at those boundaries only.  Each
+        feature offers its first minimum; the features are then taken
+        in candidate order, a later one winning only with a strictly
+        lower score and a threshold that leaves both sides non-empty.
         """
         n_features = X.shape[1]
         if n_candidates >= n_features:
@@ -212,57 +213,55 @@ class DecisionTreeClassifier:
             candidates = rng.choice(n_features, size=n_candidates,
                                     replace=False)
 
+        # Boundary ``b`` splits the first ``b + 1`` sorted samples from
+        # the rest; min_samples_leaf (a raw sample count on each side)
+        # leaves the boundaries ``lo <= b < hi``.
+        n = len(idx)
+        lo = self.min_samples_leaf - 1
+        hi = n - self.min_samples_leaf
+        if lo >= hi:
+            return None
+        k = len(candidates)
+        values = X[idx[None, :], candidates[:, None]]
+        order = np.argsort(values, axis=1, kind="mergesort")
+        sorted_values = values[np.arange(k)[:, None], order]
+        # Only boundaries between distinct values are valid splits.
+        valid = sorted_values[:, lo + 1:hi + 1] != sorted_values[:, lo:hi]
+        if not valid.any():
+            return None
+
+        one_hot = np.zeros((n, len(counts)), dtype=np.float64)
+        one_hot[np.arange(n), labels] = weights
+        score = np.full(valid.shape, np.inf)
+        group = max(1, _BLOCK_VALUES // (hi * len(counts)))
+        for start in range(0, k, group):
+            rows = slice(start, start + group)
+            _score_boundaries(
+                score[rows], valid[rows], order[rows, :hi], lo, one_hot,
+                weights, counts, total_weight,
+            )
+        first = np.argmin(score, axis=1)
+        column_best = score[np.arange(k), first]
+
         best_score = np.inf
-        best: tuple[int, float, np.ndarray] | None = None
-        n_classes = len(counts)
-
-        for feature in candidates:
-            values = X[idx, feature]
-            order = np.argsort(values, kind="mergesort")
-            sorted_values = values[order]
-            if sorted_values[0] == sorted_values[-1]:
-                continue
-            sorted_labels = labels[order]
-            sorted_weights = weights[order]
-
-            # Cumulative per-class weight to the left of each boundary.
-            one_hot = np.zeros((len(idx), n_classes), dtype=np.float64)
-            one_hot[np.arange(len(idx)), sorted_labels] = sorted_weights
-            left_counts = np.cumsum(one_hot, axis=0)[:-1]
-            left_weight = np.cumsum(sorted_weights)[:-1]
-            right_counts = counts[None, :] - left_counts
-            right_weight = total_weight - left_weight
-
-            # Only boundaries between distinct values are valid splits.
-            valid = sorted_values[1:] != sorted_values[:-1]
-            # Enforce min_samples_leaf by raw sample count on each side.
-            positions = np.arange(1, len(idx))
-            valid &= positions >= self.min_samples_leaf
-            valid &= (len(idx) - positions) >= self.min_samples_leaf
-            if not np.any(valid):
-                continue
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_left = 1.0 - np.sum(
-                    (left_counts / left_weight[:, None]) ** 2, axis=1
-                )
-                gini_right = 1.0 - np.sum(
-                    (right_counts / right_weight[:, None]) ** 2, axis=1
-                )
-            score = (
-                left_weight * gini_left + right_weight * gini_right
-            ) / total_weight
-            score[~valid] = np.inf
-            pos = int(np.argmin(score))
-            if score[pos] < best_score:
-                threshold = 0.5 * (sorted_values[pos] + sorted_values[pos + 1])
-                left_mask = values <= threshold
+        best: tuple[int, float] | None = None
+        for column, column_score in enumerate(column_best.tolist()):
+            if column_score < best_score:
+                pos = lo + first[column]
+                ends = sorted_values[column]
+                threshold = 0.5 * (ends[pos] + ends[pos + 1])
                 # Degenerate threshold from float averaging: skip.
-                if not left_mask.any() or left_mask.all():
+                # ``values <= threshold`` holds nowhere when the
+                # smallest value exceeds it, and everywhere when the
+                # largest (sorted last, after any NaN) does not.
+                if not ends[0] <= threshold or ends[-1] <= threshold:
                     continue
-                best_score = float(score[pos])
-                best = (int(feature), float(threshold), left_mask)
-        return best
+                best_score = column_score
+                best = (column, float(threshold))
+        if best is None:
+            return None
+        column, threshold = best
+        return int(candidates[column]), threshold, values[column] <= threshold
 
     # ------------------------------------------------------------------
     # Prediction
@@ -365,3 +364,42 @@ class DecisionTreeClassifier:
                 if child >= 0:
                     depths[child] = depths[node] + 1
         return int(depths.max())
+
+
+def _score_boundaries(
+    score: np.ndarray,
+    valid: np.ndarray,
+    head: np.ndarray,
+    lo: int,
+    one_hot: np.ndarray,
+    weights: np.ndarray,
+    counts: np.ndarray,
+    total_weight: float,
+) -> None:
+    """Write the weighted Gini impurity of each valid boundary into
+    ``score`` (one row per candidate, boundary ``lo`` first).
+
+    ``head`` holds each candidate's sort order up to the last boundary.
+    Every score is the arithmetic of a one-feature scan: sequential
+    cumulative class weights and weights, then the same division,
+    square, class sum and weighting, at the valid boundaries alone.
+    """
+    column, boundary = np.nonzero(valid)
+    boundary += lo
+    # Cumulative per-class weight to the left of each boundary.
+    cumulative = one_hot[head.T]
+    np.cumsum(cumulative, axis=0, out=cumulative)
+    left_counts = cumulative[boundary, column]
+    left_weight = np.cumsum(weights[head], axis=1)[column, boundary]
+    right_counts = counts[None, :] - left_counts
+    right_weight = total_weight - left_weight
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_left = 1.0 - np.sum(
+            (left_counts / left_weight[:, None]) ** 2, axis=1
+        )
+        gini_right = 1.0 - np.sum(
+            (right_counts / right_weight[:, None]) ** 2, axis=1
+        )
+    score[valid] = (
+        left_weight * gini_left + right_weight * gini_right
+    ) / total_weight

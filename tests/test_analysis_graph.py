@@ -8,8 +8,15 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.flow import EscapeAnalysis, PUBLIC_ENTRY_POINTS
-from repro.analysis.graph import ProjectGraph
-from repro.analysis.runner import ModuleInfo, iter_python_files, load_module
+from repro.analysis.graph import _MAX_PASSES, ProjectGraph
+from repro.analysis.runner import (
+    ModuleInfo,
+    iter_python_files,
+    lint_paths,
+    load_module,
+)
+from repro.cli import main
+from repro.errors import AnalysisError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -145,6 +152,45 @@ class TestCallGraph:
         assert "pkg.gate.deep" not in gated  # but not descended into
 
 
+def return_chain(links: int) -> str:
+    """``f0`` returns a ``Leaf``; each ``f<k>`` returns ``f<k-1>()``.
+    The model learns one more link per pass, and needs one pass more to
+    see that nothing changed."""
+    parts = ["class Leaf:\n    pass\n", "def f0():\n    return Leaf()\n"]
+    for k in range(1, links):
+        parts.append(f"def f{k}():\n    return f{k - 1}()\n")
+    return "\n".join(parts)
+
+
+class TestFixpoint:
+    def test_chain_within_the_bound_converges(self):
+        graph = build({"m": return_chain(_MAX_PASSES - 1)})
+        assert graph.converged
+        last = f"m.f{_MAX_PASSES - 2}"
+        assert graph.return_values[last] == {("instance", "m.Leaf")}
+
+    def test_chain_past_the_bound_does_not_converge(self):
+        graph = build({"m": return_chain(_MAX_PASSES + 2)})
+        assert not graph.converged
+        assert not graph.return_values[f"m.f{_MAX_PASSES + 1}"]
+
+    def test_lint_refuses_an_unconverged_graph(self, tmp_path):
+        (tmp_path / "chain.py").write_text(
+            return_chain(_MAX_PASSES + 2), encoding="utf-8"
+        )
+        with pytest.raises(AnalysisError, match="did not converge"):
+            lint_paths([tmp_path])
+        # The per-module rules need no graph.
+        assert lint_paths([tmp_path], graph=False) == []
+
+    def test_cli_exits_two_on_an_unconverged_graph(self, tmp_path, capsys):
+        (tmp_path / "chain.py").write_text(
+            return_chain(_MAX_PASSES + 2), encoding="utf-8"
+        )
+        assert main(["lint", str(tmp_path)]) == 2
+        assert "did not converge" in capsys.readouterr().err
+
+
 class TestRealTree:
     """The model holds on the shipped package, not just fixtures."""
 
@@ -152,6 +198,9 @@ class TestRealTree:
     def graph(self) -> ProjectGraph:
         modules = [load_module(p) for p in iter_python_files([SRC])]
         return ProjectGraph.build(modules)
+
+    def test_shipped_tree_converges(self, graph):
+        assert graph.converged
 
     def test_factory_chain_pins_forest_fit(self, graph):
         # Strudel-L and Strudel-C build their forest in the shared

@@ -239,6 +239,36 @@ class TestLayerBoundaries:
         )
         assert rule_ids(findings) == ["R002"]
 
+    def test_submodule_imported_by_name_meets_its_own_node(self):
+        # ``ml.persistence`` sits above ``core``: importing it by name
+        # from its package is the same dependency as the dotted import.
+        findings = lint(
+            "from repro.ml import persistence\n",
+            module="repro.core.strudel",
+        )
+        assert rule_ids(findings) == ["R002"]
+        assert "repro.ml.persistence" in findings[0].message
+
+    def test_engine_imported_by_name_into_ml_flagged(self):
+        findings = lint(
+            "from repro.perf import engine, pool\n",
+            module="repro.ml.forest",
+        )
+        assert rule_ids(findings) == ["R002"]
+
+    def test_relative_submodule_import_flagged(self):
+        findings = lint(
+            "from . import persistence\n", module="repro.ml.forest"
+        )
+        assert rule_ids(findings) == ["R002"]
+
+    def test_class_imported_by_name_stays_clean(self):
+        findings = lint(
+            "from repro.core.strudel import StrudelPipeline\n",
+            module="repro.perf.engine",
+        )
+        assert findings == []
+
     def test_downward_import_allowed(self):
         findings = lint(
             "from repro.core.line_features import "
